@@ -5,6 +5,7 @@
 package partsort
 
 import (
+	"context"
 	"path/filepath"
 	"slices"
 	"sync"
@@ -134,13 +135,13 @@ func TestAutoTuneSmallInputSkipsPlanning(t *testing.T) {
 	}
 }
 
-// TestTrySortAutoTune: the error-returning API honors AutoTune too.
+// TestTrySortAutoTune: the error-returning SortCtx honors AutoTune too.
 func TestTrySortAutoTune(t *testing.T) {
 	n := 1 << 14
 	keys := gen.Uniform[uint32](n, 0, 13)
 	vals := RIDs[uint32](n)
-	if err := TrySortLSB(keys, vals, &SortOptions{AutoTune: true, Profile: quickTestProfile()}); err != nil {
-		t.Fatalf("TrySortLSB with AutoTune: %v", err)
+	if err := SortCtx(context.Background(), LSB, keys, vals, &SortOptions{AutoTune: true, Profile: quickTestProfile()}); err != nil {
+		t.Fatalf("SortCtx with AutoTune: %v", err)
 	}
 	if !IsSorted(keys) {
 		t.Fatal("not sorted")
@@ -175,12 +176,12 @@ func TestProfilePublicRoundTrip(t *testing.T) {
 }
 
 // TestOptionsProfileValidation: a malformed SortOptions.Profile is an
-// argument error — *ArgError from the Try API, the same panic from the
-// legacy one — before any sorting starts.
+// argument error — *ArgError from SortCtx, the same panic from the
+// SortLSB wrapper — before any sorting starts.
 func TestOptionsProfileValidation(t *testing.T) {
 	keys := []uint32{3, 1, 2}
 	vals := []uint32{0, 1, 2}
-	err := TrySortLSB(keys, vals, &SortOptions{Profile: &MachineProfile{}})
+	err := SortCtx(context.Background(), LSB, keys, vals, &SortOptions{Profile: &MachineProfile{}})
 	var ae *ArgError
 	if !asArgError(err, &ae) || ae.Field != "Profile" {
 		t.Fatalf("want *ArgError on Profile, got %v", err)

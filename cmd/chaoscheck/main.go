@@ -19,6 +19,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -101,7 +102,7 @@ func main() {
 			// Prime the pool so parked workers join the goroutine baseline.
 			copy(keys, ref)
 			copy(vals, rids)
-			if err := partsort.TrySortLSB(keys, vals, &partsort.SortOptions{Threads: *threads, Workspace: w}); err != nil {
+			if err := partsort.SortCtx(context.Background(), partsort.LSB, keys, vals, &partsort.SortOptions{Threads: *threads, Workspace: w}); err != nil {
 				fail("lane %v: workspace warm-up failed: %v", ln.algo, err)
 			}
 		}
@@ -167,8 +168,8 @@ func chaosRun(name string, ln lane, runSeed uint64, i, threads int, ref, rids, k
 		JitterSeed:     runSeed,
 		Stats:          &st,
 	}
-	err := partsort.SortResilient(ln.algo, keys, vals,
-		&partsort.SortOptions{Threads: threads, Workspace: w}, pol)
+	err := partsort.SortCtx(context.Background(), ln.algo, keys, vals,
+		&partsort.SortOptions{Threads: threads, Workspace: w, Retry: pol})
 	fault.Disable()
 
 	switch {
@@ -219,19 +220,19 @@ func pressureLane(n, threads int) {
 	vals := partsort.RIDs[uint64](n)
 	tiny := int64(n) // bytes: orders of magnitude below the 16n tmp columns
 
-	err := partsort.TrySortLSB(keys, vals, &partsort.SortOptions{Threads: threads, MaxAuxBytes: tiny})
+	err := partsort.SortCtx(context.Background(), partsort.LSB, keys, vals, &partsort.SortOptions{Threads: threads, MaxAuxBytes: tiny})
 	var re *partsort.ResourceError
 	if !errors.As(err, &re) {
-		fail("pressure: TrySortLSB err = %v (%T), want *partsort.ResourceError", err, err)
+		fail("pressure: SortCtx err = %v (%T), want *partsort.ResourceError", err, err)
 	}
 	if re.Budget != tiny {
 		fail("pressure: ResourceError budget = %d, want %d", re.Budget, tiny)
 	}
 
 	var st partsort.RetryStats
-	err = partsort.SortResilient(partsort.LSB, keys, vals,
-		&partsort.SortOptions{Threads: threads, MaxAuxBytes: tiny},
-		&partsort.RetryPolicy{InitialBackoff: 50 * time.Microsecond, Stats: &st})
+	err = partsort.SortCtx(context.Background(), partsort.LSB, keys, vals,
+		&partsort.SortOptions{Threads: threads, MaxAuxBytes: tiny,
+			Retry: &partsort.RetryPolicy{InitialBackoff: 50 * time.Microsecond, Stats: &st}})
 	if err != nil {
 		fail("pressure: supervised sort failed: %v", err)
 	}

@@ -266,26 +266,16 @@ func run[K kv.Key](c cfg) {
 		defer cancel()
 	}
 	var rst partsort.RetryStats
+	if c.resilient {
+		opt.Retry = &partsort.RetryPolicy{Stats: &rst}
+	}
 	start := time.Now()
 	for r := 0; r < max(c.repeat, 1); r++ {
 		if r > 0 {
 			copy(keys, baseK)
 			copy(vals, baseV)
 		}
-		var err error
-		if c.resilient {
-			err = partsort.SortResilientCtx(ctx, algo, keys, vals, opt, &partsort.RetryPolicy{Stats: &rst})
-		} else {
-			switch algo {
-			case partsort.LSB:
-				err = partsort.TrySortLSBCtx(ctx, keys, vals, opt)
-			case partsort.MSB:
-				err = partsort.TrySortMSBCtx(ctx, keys, vals, opt)
-			default:
-				err = partsort.TrySortCmpCtx(ctx, keys, vals, opt)
-			}
-		}
-		if err != nil {
+		if err := partsort.SortCtx(ctx, algo, keys, vals, opt); err != nil {
 			exitErr(err)
 		}
 	}

@@ -5,8 +5,8 @@
 // endpoint (Prometheus /metrics, expvar, pprof) on -metrics-addr.
 // Requests pass admission control (queue depth, the auxiliary-memory
 // ledger, optional per-tenant caps), small key-only requests coalesce
-// into merged batched runs, and every sort executes under the
-// SortResilient retry/fallback supervisor on pooled per-size-class
+// into merged batched runs, and every sort executes through SortCtx
+// under the retry/fallback supervisor on pooled per-size-class
 // workspace arenas. With -spill-dir set, requests too large for the
 // memory ledger degrade onto the external disk-spilling sort (bounded by
 // the -max-spill-bytes disk ledger) instead of being rejected; without
@@ -15,7 +15,7 @@
 // SIGTERM or SIGINT starts a graceful drain: admission flips to
 // rejecting (503 + Retry-After, /healthz reports "draining"), queued
 // work finishes, and once -drain-timeout expires any still-running sorts
-// are cancelled through their Try*Ctx rollback.
+// are cancelled through their SortCtx rollback.
 //
 // Exit codes: 0 clean drain, 1 runtime failure, 2 bad flags, 3 drain
 // deadline forced cancellation. See OPERATIONS.md for the full operator

@@ -45,17 +45,18 @@ func ExampleNewRangeIndex() {
 	// Output: 0 1 2 3
 }
 
-func ExampleSortResilient() {
+func ExampleSortCtx() {
 	keys := []uint64{9, 3, 7, 1, 5}
 	rids := partsort.RIDs[uint64](len(keys))
 
-	// The supervisor retries transient faults, falls back to safer plans,
+	// SortCtx returns typed errors instead of panicking. With Retry set,
+	// the supervisor retries transient faults, falls back to safer plans,
 	// and degrades in place under memory pressure; RetryStats reports
 	// what the run took.
 	var st partsort.RetryStats
-	err := partsort.SortResilientCtx(context.Background(), partsort.LSB, keys, rids,
-		&partsort.SortOptions{Threads: 1, MaxAuxBytes: 64 << 20},
-		&partsort.RetryPolicy{Stats: &st})
+	err := partsort.SortCtx(context.Background(), partsort.LSB, keys, rids,
+		&partsort.SortOptions{Threads: 1, MaxAuxBytes: 64 << 20,
+			Retry: &partsort.RetryPolicy{Stats: &st}})
 	if err != nil {
 		fmt.Println("sort failed:", err)
 		return

@@ -20,13 +20,13 @@
 //
 // Cancellation rides the same unwinding mechanism as containment: a
 // checkpoint that observes cancellation panics with a private bail value,
-// and the top-level recovery in the public Try entry points maps it back
-// to the context's error. Kernels therefore need no error plumbing — only
+// and the top-level recovery in the public error-returning entry points
+// (partsort.SortCtx and friends) maps it back to the context's error. Kernels therefore need no error plumbing — only
 // cheap nil-safe Checkpoint calls at safe points.
 //
 // Everything here is nil-safe and zero-cost when disabled: a nil *Ctl
-// checkpoint is one pointer comparison, so the plain (non-Try, non-ctx)
-// entry points pay nothing.
+// checkpoint is one pointer comparison, so internal callers that run
+// kernels without a control pay nothing.
 package hard
 
 import (

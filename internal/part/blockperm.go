@@ -579,19 +579,6 @@ func (r *blockPermRunner[K, F]) release(w *ws.Workspace) {
 	r.ctl = nil
 }
 
-// BlockPermutePartition partitions keys/vals in place under fn with the
-// block-permutation kernel, filling (and returning) starts — partition p
-// ends up on [starts[p], starts[p+1]). A nil starts is allocated. The
-// convenience wrapper over BlockPermutePartitionCtl for tests and
-// single-shot callers.
-func BlockPermutePartition[K kv.Key, F pfunc.Func[K]](w *ws.Workspace, keys, vals []K, fn F, blockTuples, workers int, starts []int) []int {
-	if starts == nil {
-		starts = make([]int, fn.Fanout()+1)
-	}
-	BlockPermutePartitionCtl(w, keys, vals, fn, blockTuples, workers, starts, nil)
-	return starts
-}
-
 // BlockPermutePartitionCtl partitions keys/vals (vals may be nil) in place
 // under fn using `workers` concurrent goroutines and O(workers × fanout ×
 // blockTuples) arena scratch, writing the partition boundaries into starts

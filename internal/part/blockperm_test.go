@@ -24,7 +24,8 @@ func checkBlockPerm[K kv.Key, F pfunc.Func[K]](t *testing.T, w *ws.Workspace, ke
 	hist := Histogram(keys, fn)
 	wantStarts, _ := Starts(hist)
 
-	starts := BlockPermutePartition(w, keys, vals, fn, blockTuples, workers, nil)
+	starts := make([]int, fn.Fanout()+1)
+	BlockPermutePartitionCtl(w, keys, vals, fn, blockTuples, workers, starts, nil)
 	if len(starts) != fn.Fanout()+1 || starts[fn.Fanout()] != n {
 		t.Fatalf("starts shape wrong: len %d end %d (n=%d)", len(starts), starts[len(starts)-1], n)
 	}
@@ -115,7 +116,8 @@ func TestBlockPermuteAgainstBlocksReference(t *testing.T) {
 
 			gotK := append([]uint32(nil), orig...)
 			gotV := gen.RIDs[uint32](n)
-			gotStarts := BlockPermutePartition(w, gotK, gotV, fn, b, 4, nil)
+			gotStarts := make([]int, fn.Fanout()+1)
+			BlockPermutePartitionCtl(w, gotK, gotV, fn, b, 4, gotStarts, nil)
 
 			for p := 0; p <= fn.Fanout(); p++ {
 				if refStarts[p] != gotStarts[p] {
@@ -143,7 +145,8 @@ func TestBlockPermuteQuick(t *testing.T) {
 		fn := pfunc.NewRadix[uint32](0, bits)
 		keys := append([]uint32(nil), raw...)
 		vals := gen.RIDs[uint32](len(keys))
-		starts := BlockPermutePartition(w, keys, vals, fn, b, workers, nil)
+		starts := make([]int, fn.Fanout()+1)
+		BlockPermutePartitionCtl(w, keys, vals, fn, b, workers, starts, nil)
 		for p := 0; p < fn.Fanout(); p++ {
 			for i := starts[p]; i < starts[p+1]; i++ {
 				if fn.Partition(keys[i]) != p {
@@ -190,7 +193,7 @@ func TestBlockPermuteFaultRestore(t *testing.T) {
 							err = pe
 						}
 					}()
-					BlockPermutePartition(w, keys, vals, fn, 64, 4, nil)
+					BlockPermutePartitionCtl(w, keys, vals, fn, 64, 4, make([]int, fn.Fanout()+1), nil)
 					return nil
 				}()
 				fault.Disable()

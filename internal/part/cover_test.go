@@ -41,7 +41,7 @@ func TestNonInPlaceInCacheCodes(t *testing.T) {
 	hist := HistogramCodes(keys, fn, codes)
 	aK := make([]uint32, len(keys))
 	aV := make([]uint32, len(keys))
-	NonInPlaceInCacheCodes(keys, vals, aK, aV, codes, hist)
+	NonInPlaceInCacheCodesWS(nil, keys, vals, aK, aV, codes, hist)
 	bK := make([]uint32, len(keys))
 	bV := make([]uint32, len(keys))
 	NonInPlaceInCache(keys, vals, bK, bV, fn, hist)
@@ -75,10 +75,10 @@ func TestParallelNonInPlaceCodesDirect(t *testing.T) {
 	vals := gen.RIDs[uint32](len(keys))
 	fn := pfunc.NewHash[uint32](64)
 	codes := make([]int32, len(keys))
-	hists := ParallelHistogramsCodes(keys, fn, codes, 3)
+	hists, _ := ParallelHistogramsCodesCtlWS(nil, keys, fn, codes, 3, nil)
 	dstK := make([]uint32, len(keys))
 	dstV := make([]uint32, len(keys))
-	ParallelNonInPlaceCodes(keys, vals, dstK, dstV, codes, hists, 0)
+	ParallelNonInPlaceCodesCtlWS(nil, keys, vals, dstK, dstV, codes, hists, 0, nil)
 	hist := MergeHistograms(hists)
 	starts, _ := Starts(hist)
 	for p := range hist {

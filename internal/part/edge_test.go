@@ -214,9 +214,9 @@ func TestParallelHistogramsCodesBatchPath(t *testing.T) {
 	delims := splitter.EqualDepth(gen.Uniform[uint32](4096, 0, 9), 100)
 	tree := rangeidx.NewTreeFor(delims)
 	codes1 := make([]int32, len(keys))
-	h1 := ParallelHistogramsCodes(keys, batchFunc{tree}, codes1, 4)
+	h1, _ := ParallelHistogramsCodesCtlWS(nil, keys, batchFunc{tree}, codes1, 4, nil)
 	codes2 := make([]int32, len(keys))
-	h2 := ParallelHistogramsCodes(keys, treeAsFunc{tree}, codes2, 4)
+	h2, _ := ParallelHistogramsCodesCtlWS(nil, keys, treeAsFunc{tree}, codes2, 4, nil)
 	for i := range codes1 {
 		if codes1[i] != codes2[i] {
 			t.Fatalf("codes differ at %d", i)

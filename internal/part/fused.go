@@ -32,11 +32,8 @@ func (r *fusedRunner[K]) RunTask(t int) {
 	h0 := r.h0[t]
 	clear(h0)
 	// The scan is read-only, so checkpointed sub-chunks (every
-	// hard.CkptTuples tuples under a live ctl) are interruption-safe.
-	step := hi - lo
-	if r.ctl != nil {
-		step = hard.CkptTuples
-	}
+	// hard.CkptTuples tuples) are interruption-safe.
+	const step = hard.CkptTuples
 	if m == 1 {
 		s0, m0 := r.shifts[0], r.masks[0]
 		for c := lo; c < hi; c += step {

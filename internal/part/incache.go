@@ -45,14 +45,9 @@ func publishTuples(tuples int) {
 	}
 }
 
-// NonInPlaceInCacheCodes is Algorithm 1 driven by precomputed partition
-// codes (one code per tuple), the data-movement path of range partitioning.
-func NonInPlaceInCacheCodes[K kv.Key](srcK, srcV, dstK, dstV []K, codes []int32, hist []int) {
-	NonInPlaceInCacheCodesWS(nil, srcK, srcV, dstK, dstV, codes, hist)
-}
-
-// NonInPlaceInCacheCodesWS is NonInPlaceInCacheCodes with a
-// workspace-pooled offset array.
+// NonInPlaceInCacheCodesWS is Algorithm 1 driven by precomputed partition
+// codes (one code per tuple), the data-movement path of range
+// partitioning, with a workspace-pooled offset array (nil allocates).
 func NonInPlaceInCacheCodesWS[K kv.Key](w *ws.Workspace, srcK, srcV, dstK, dstV []K, codes []int32, hist []int) {
 	CheckHistogram(hist, len(srcK))
 	offset, _ := StartsInto(w.Ints(len(hist)), hist)

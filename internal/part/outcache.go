@@ -44,6 +44,33 @@ func (b *lineBuffers[K]) release(w *ws.Workspace) {
 	ws.PutKeys(w, b.vals)
 }
 
+// workerStaging is the scatter staging of a parallel scatter — each
+// worker's line buffers (one flat column pair, worker-major) and write
+// cursors — taken on the driver goroutine before fan-out. The arena then
+// sees the same acquisition sequence on every run whatever the worker
+// scheduling, so a warm workspace reports zero misses deterministically.
+type workerStaging[K kv.Key] struct {
+	lines lineBuffers[K]
+	off   [][]int
+	np    int
+}
+
+func newWorkerStaging[K kv.Key](w *ws.Workspace, workers, np int) workerStaging[K] {
+	return workerStaging[K]{lines: newLineBuffers[K](w, workers*np), off: w.Matrix(workers, np), np: np}
+}
+
+// worker returns worker t's line buffers and write cursors.
+func (s *workerStaging[K]) worker(t int) (lineBuffers[K], []int) {
+	n := s.np * s.lines.l
+	lo, hi := t*n, (t+1)*n
+	return lineBuffers[K]{l: s.lines.l, keys: s.lines.keys[lo:hi:hi], vals: s.lines.vals[lo:hi:hi]}, s.off[t]
+}
+
+func (s *workerStaging[K]) release(w *ws.Workspace) {
+	s.lines.release(w)
+	w.PutMatrix(s.off)
+}
+
 // NonInPlaceOutOfCache is Algorithm 3: non-in-place partitioning through
 // per-partition cache-line buffers. Tuples accumulate in a partition's
 // line; when the line boundary is crossed, the full line is written to the
@@ -74,30 +101,32 @@ func NonInPlaceOutOfCacheWS[K kv.Key, F pfunc.Func[K]](w *ws.Workspace, srcK, sr
 }
 
 // NonInPlaceOutOfCacheCtlWS is NonInPlaceOutOfCacheWS under a cancellation
-// control: with a live ctl the scatter runs in hard.CkptTuples sub-chunks
-// with a checkpoint between them (the write cursors and line buffers
-// persist across sub-chunks, so the output is identical), bounding
-// cancellation latency to one sub-chunk. ctl == nil is exactly the old
-// single-call path. Interruption leaves the source intact — only the
-// disjoint destination shares are partially written — so the driver's
-// restore defer can recover the permutation from src.
+// control: the scatter runs in hard.CkptTuples sub-chunks with a
+// checkpoint between them (the write cursors and line buffers persist
+// across sub-chunks, so the output is identical), bounding cancellation
+// latency to one sub-chunk; a nil ctl never stops. Interruption leaves the
+// source intact — only the disjoint destination shares are partially
+// written — so the driver's restore defer can recover the permutation
+// from src.
 func NonInPlaceOutOfCacheCtlWS[K kv.Key, F pfunc.Func[K]](w *ws.Workspace, srcK, srcV, dstK, dstV []K, fn F, starts []int, ctl *hard.Ctl) {
 	p := fn.Fanout()
 	buf := newLineBuffers[K](w, p)
 	off := w.Ints(p)
-	copy(off, starts[:p])
-	if ctl == nil {
-		scatterLines(srcK, srcV, dstK, dstV, fn, &buf, off, starts)
-	} else {
-		for c := 0; c < len(srcK); c += hard.CkptTuples {
-			ctl.Checkpoint()
-			e := min(c+hard.CkptTuples, len(srcK))
-			scatterLines(srcK[c:e], srcV[c:e], dstK, dstV, fn, &buf, off, starts)
-		}
-	}
-	drainBuffers(&buf, dstK, dstV, off, starts)
+	scatterOutOfCache(srcK, srcV, dstK, dstV, fn, starts, buf, off, ctl)
 	buf.release(w)
 	w.PutInts(off)
+}
+
+// scatterOutOfCache is NonInPlaceOutOfCacheCtlWS on caller-held staging:
+// line buffers and write cursors of fn's fanout.
+func scatterOutOfCache[K kv.Key, F pfunc.Func[K]](srcK, srcV, dstK, dstV []K, fn F, starts []int, buf lineBuffers[K], off []int, ctl *hard.Ctl) {
+	copy(off, starts[:len(off)])
+	for c := 0; c < len(srcK); c += hard.CkptTuples {
+		ctl.Checkpoint()
+		e := min(c+hard.CkptTuples, len(srcK))
+		scatterLines(srcK[c:e], srcV[c:e], dstK, dstV, fn, &buf, off, starts)
+	}
+	drainBuffers(&buf, dstK, dstV, off, starts)
 	publishScatter(len(srcK), buf.flushes)
 }
 
@@ -165,38 +194,30 @@ func publishScatter(tuples int, flushes uint64) {
 	}
 }
 
-// NonInPlaceOutOfCacheCodes is Algorithm 3 driven by precomputed partition
-// codes: the data-movement half of wide-fanout range partitioning. It
-// performs almost as fast as radix partitioning because scanning the short
-// code array is sequential (Section 4.3.2).
-func NonInPlaceOutOfCacheCodes[K kv.Key](srcK, srcV, dstK, dstV []K, codes []int32, p int, starts []int) {
-	NonInPlaceOutOfCacheCodesWS(nil, srcK, srcV, dstK, dstV, codes, p, starts)
-}
-
-// NonInPlaceOutOfCacheCodesWS is NonInPlaceOutOfCacheCodes with
-// workspace-pooled line buffers and write cursors.
-func NonInPlaceOutOfCacheCodesWS[K kv.Key](w *ws.Workspace, srcK, srcV, dstK, dstV []K, codes []int32, p int, starts []int) {
-	NonInPlaceOutOfCacheCodesCtlWS(w, srcK, srcV, dstK, dstV, codes, p, starts, nil)
-}
-
-// NonInPlaceOutOfCacheCodesCtlWS is NonInPlaceOutOfCacheCodesWS under a
-// cancellation control (see NonInPlaceOutOfCacheCtlWS).
+// NonInPlaceOutOfCacheCodesCtlWS is Algorithm 3 driven by precomputed
+// partition codes: the data-movement half of wide-fanout range
+// partitioning. It performs almost as fast as radix partitioning because
+// scanning the short code array is sequential (Section 4.3.2). Line
+// buffers and write cursors come from the workspace (nil allocates);
+// cancellation works as in NonInPlaceOutOfCacheCtlWS.
 func NonInPlaceOutOfCacheCodesCtlWS[K kv.Key](w *ws.Workspace, srcK, srcV, dstK, dstV []K, codes []int32, p int, starts []int, ctl *hard.Ctl) {
 	buf := newLineBuffers[K](w, p)
 	off := w.Ints(p)
-	copy(off, starts[:p])
-	if ctl == nil {
-		scatterLinesCodesFast(srcK, srcV, dstK, dstV, codes, &buf, off, starts)
-	} else {
-		for c := 0; c < len(srcK); c += hard.CkptTuples {
-			ctl.Checkpoint()
-			e := min(c+hard.CkptTuples, len(srcK))
-			scatterLinesCodesFast(srcK[c:e], srcV[c:e], dstK, dstV, codes[c:e], &buf, off, starts)
-		}
-	}
-	drainBuffers(&buf, dstK, dstV, off, starts)
+	scatterOutOfCacheCodes(srcK, srcV, dstK, dstV, codes, starts, buf, off, ctl)
 	buf.release(w)
 	w.PutInts(off)
+}
+
+// scatterOutOfCacheCodes is NonInPlaceOutOfCacheCodesCtlWS on caller-held
+// staging.
+func scatterOutOfCacheCodes[K kv.Key](srcK, srcV, dstK, dstV []K, codes []int32, starts []int, buf lineBuffers[K], off []int, ctl *hard.Ctl) {
+	copy(off, starts[:len(off)])
+	for c := 0; c < len(srcK); c += hard.CkptTuples {
+		ctl.Checkpoint()
+		e := min(c+hard.CkptTuples, len(srcK))
+		scatterLinesCodesFast(srcK[c:e], srcV[c:e], dstK, dstV, codes[c:e], &buf, off, starts)
+	}
+	drainBuffers(&buf, dstK, dstV, off, starts)
 	publishScatter(len(srcK), buf.flushes)
 }
 

@@ -40,14 +40,12 @@ type histRunner[K kv.Key, F pfunc.Func[K]] struct {
 func (r *histRunner[K, F]) RunTask(t int) {
 	lo, hi := r.bounds[t], r.bounds[t+1]
 	sp := obs.Begin("histogram", "worker", t)
-	if r.ctl == nil {
-		HistogramInto(r.hists[t], r.keys[lo:hi], r.fn)
-	} else {
-		clear(r.hists[t])
-		for c := lo; c < hi; c += hard.CkptTuples {
-			r.ctl.Checkpoint()
-			histogramAccum(r.hists[t], r.keys[c:min(c+hard.CkptTuples, hi)], r.fn)
-		}
+	clear(r.hists[t])
+	// Histogramming is read-only on the keys, so checkpointed sub-chunks
+	// are interruption-safe.
+	for c := lo; c < hi; c += hard.CkptTuples {
+		r.ctl.Checkpoint()
+		histogramAccum(r.hists[t], r.keys[c:min(c+hard.CkptTuples, hi)], r.fn)
 	}
 	sp.EndN(int64(hi - lo))
 }
@@ -72,8 +70,8 @@ func ParallelHistogramsWS[K kv.Key, F pfunc.Func[K]](w *ws.Workspace, keys []K, 
 }
 
 // ParallelHistogramsCtlWS is ParallelHistogramsWS under a cancellation
-// control: workers checkpoint every hard.CkptTuples tuples. ctl == nil is
-// exactly the plain path.
+// control: workers checkpoint every hard.CkptTuples tuples (a nil ctl
+// never stops).
 func ParallelHistogramsCtlWS[K kv.Key, F pfunc.Func[K]](w *ws.Workspace, keys []K, fn F, workers int, ctl *hard.Ctl) (hists [][]int, bounds []int) {
 	hists = w.Matrix(workers, fn.Fanout())
 	bounds = ChunkBoundsInto(w.Ints(workers+1), len(keys))
@@ -89,7 +87,7 @@ func parallelHistogramsInto[K kv.Key, F pfunc.Func[K]](w *ws.Workspace, hists []
 	ws.PutScratch(w, ws.SlotParHist, r)
 }
 
-// histCodesRunner drives ParallelHistogramsCodes on the pool.
+// histCodesRunner drives ParallelHistogramsCodesCtlWS on the pool.
 type histCodesRunner[K kv.Key, F pfunc.Func[K]] struct {
 	keys   []K
 	fn     F
@@ -103,17 +101,12 @@ func (r *histCodesRunner[K, F]) RunTask(t int) {
 	lo, hi := r.bounds[t], r.bounds[t+1]
 	sp := obs.Begin("histogram-codes", "worker", t)
 	clear(r.hists[t])
-	// With no ctl the whole chunk is one sub-chunk; otherwise checkpoint
-	// every hard.CkptTuples tuples (histogramming is read-only on the keys,
-	// so interruption anywhere is safe).
-	step := hi - lo
-	if r.ctl != nil {
-		step = hard.CkptTuples
-	}
+	// Checkpoint every hard.CkptTuples tuples: histogramming is read-only
+	// on the keys, so interruption anywhere is safe.
 	bl, batch := any(r.fn).(BatchLookuper[K])
-	for c := lo; c < hi; c += step {
+	for c := lo; c < hi; c += hard.CkptTuples {
 		r.ctl.Checkpoint()
-		e := min(c+step, hi)
+		e := min(c+hard.CkptTuples, hi)
 		if batch {
 			histogramCodesBatchAccum(r.hists[t], r.keys[c:e], bl, r.codes[c:e])
 		} else {
@@ -127,38 +120,19 @@ func (r *histCodesRunner[K, F]) RunTask(t int) {
 	sp.EndN(int64(hi - lo))
 }
 
-// ParallelHistogramsCodes is ParallelHistograms that also records each
-// tuple's partition code (for range partitioning).
-func ParallelHistogramsCodes[K kv.Key, F pfunc.Func[K]](keys []K, fn F, codes []int32, workers int) [][]int {
-	hists := make([][]int, workers)
-	for t := range hists {
-		hists[t] = make([]int, fn.Fanout())
-	}
-	parallelHistogramsCodesInto(nil, hists, ChunkBounds(len(keys), workers), keys, fn, codes, nil)
-	return hists
-}
-
-// ParallelHistogramsCodesWS is ParallelHistogramsCodes on the workspace's
-// worker pool with pooled outputs (PutMatrix/PutInts to release).
-func ParallelHistogramsCodesWS[K kv.Key, F pfunc.Func[K]](w *ws.Workspace, keys []K, fn F, codes []int32, workers int) (hists [][]int, bounds []int) {
-	return ParallelHistogramsCodesCtlWS(w, keys, fn, codes, workers, nil)
-}
-
-// ParallelHistogramsCodesCtlWS is ParallelHistogramsCodesWS under a
-// cancellation control (see ParallelHistogramsCtlWS).
+// ParallelHistogramsCodesCtlWS is ParallelHistogramsCtlWS that also
+// records each tuple's partition code (for range partitioning), on the
+// workspace's worker pool with pooled outputs (PutMatrix/PutInts to
+// release; a nil workspace allocates).
 func ParallelHistogramsCodesCtlWS[K kv.Key, F pfunc.Func[K]](w *ws.Workspace, keys []K, fn F, codes []int32, workers int, ctl *hard.Ctl) (hists [][]int, bounds []int) {
 	hists = w.Matrix(workers, fn.Fanout())
 	bounds = ChunkBoundsInto(w.Ints(workers+1), len(keys))
-	parallelHistogramsCodesInto(w, hists, bounds, keys, fn, codes, ctl)
-	return hists, bounds
-}
-
-func parallelHistogramsCodesInto[K kv.Key, F pfunc.Func[K]](w *ws.Workspace, hists [][]int, bounds []int, keys []K, fn F, codes []int32, ctl *hard.Ctl) {
 	r := ws.Scratch[histCodesRunner[K, F]](w, ws.SlotParHistCodes)
 	*r = histCodesRunner[K, F]{keys: keys, fn: fn, codes: codes, bounds: bounds, hists: hists, ctl: ctl}
-	ws.RunWorkersCtl(w, len(hists), r, ctl)
+	ws.RunWorkersCtl(w, workers, r, ctl)
 	*r = histCodesRunner[K, F]{}
 	ws.PutScratch(w, ws.SlotParHistCodes, r)
+	return hists, bounds
 }
 
 // MergeHistograms sums per-worker histograms into the global histogram.
@@ -212,18 +186,19 @@ func ThreadStartsInto(starts [][]int, global []int, hists [][]int, base int) ([]
 // scatterRunner drives the data-movement half of parallel non-in-place
 // partitioning on the pool.
 type scatterRunner[K kv.Key, F pfunc.Func[K]] struct {
-	w                      *ws.Workspace
 	srcK, srcV, dstK, dstV []K
 	fn                     F
 	bounds                 []int
 	starts                 [][]int
+	stage                  workerStaging[K]
 	ctl                    *hard.Ctl
 }
 
 func (r *scatterRunner[K, F]) RunTask(t int) {
 	lo, hi := r.bounds[t], r.bounds[t+1]
 	sp := obs.Begin("scatter", "worker", t)
-	NonInPlaceOutOfCacheCtlWS(r.w, r.srcK[lo:hi], r.srcV[lo:hi], r.dstK, r.dstV, r.fn, r.starts[t], r.ctl)
+	buf, off := r.stage.worker(t)
+	scatterOutOfCache(r.srcK[lo:hi], r.srcV[lo:hi], r.dstK, r.dstV, r.fn, r.starts[t], buf, off, r.ctl)
 	sp.EndN(int64(hi - lo))
 }
 
@@ -288,49 +263,41 @@ func ParallelScatterBoundsCtlWS[K kv.Key, F pfunc.Func[K]](w *ws.Workspace, srcK
 	starts := w.Matrix(workers, np)
 	global := w.Ints(np)
 	ThreadStartsInto(starts, global, hists, base)
+	stage := newWorkerStaging[K](w, workers, np)
 	r := ws.Scratch[scatterRunner[K, F]](w, ws.SlotScatter)
-	*r = scatterRunner[K, F]{w: w, srcK: srcK, srcV: srcV, dstK: dstK, dstV: dstV, fn: fn, bounds: bounds, starts: starts, ctl: ctl}
+	*r = scatterRunner[K, F]{srcK: srcK, srcV: srcV, dstK: dstK, dstV: dstV, fn: fn, bounds: bounds, starts: starts, stage: stage, ctl: ctl}
 	ws.RunWorkersCtl(w, workers, r, ctl)
 	*r = scatterRunner[K, F]{}
 	ws.PutScratch(w, ws.SlotScatter, r)
+	stage.release(w)
 	w.PutMatrix(starts)
 	w.PutInts(global)
 }
 
 // scatterCodesRunner drives code-driven scatter on the pool.
 type scatterCodesRunner[K kv.Key] struct {
-	w                      *ws.Workspace
 	srcK, srcV, dstK, dstV []K
 	codes                  []int32
-	np                     int
 	bounds                 []int
 	starts                 [][]int
+	stage                  workerStaging[K]
 	ctl                    *hard.Ctl
 }
 
 func (r *scatterCodesRunner[K]) RunTask(t int) {
 	lo, hi := r.bounds[t], r.bounds[t+1]
 	sp := obs.Begin("scatter-codes", "worker", t)
-	NonInPlaceOutOfCacheCodesCtlWS(r.w, r.srcK[lo:hi], r.srcV[lo:hi], r.dstK, r.dstV, r.codes[lo:hi], r.np, r.starts[t], r.ctl)
+	buf, off := r.stage.worker(t)
+	scatterOutOfCacheCodes(r.srcK[lo:hi], r.srcV[lo:hi], r.dstK, r.dstV, r.codes[lo:hi], r.starts[t], buf, off, r.ctl)
 	sp.EndN(int64(hi - lo))
 }
 
-// ParallelNonInPlaceCodes is ParallelNonInPlace for precomputed partition
-// codes (wide-fanout range partitioning). hists must be the per-worker
-// histograms previously computed by ParallelHistogramsCodes over the same
-// chunk bounds.
-func ParallelNonInPlaceCodes[K kv.Key](srcK, srcV, dstK, dstV []K, codes []int32, hists [][]int, base int) {
-	ParallelNonInPlaceCodesWS(nil, srcK, srcV, dstK, dstV, codes, hists, base)
-}
-
-// ParallelNonInPlaceCodesWS is ParallelNonInPlaceCodes on the workspace's
-// pool with pooled offset tables and line buffers.
-func ParallelNonInPlaceCodesWS[K kv.Key](w *ws.Workspace, srcK, srcV, dstK, dstV []K, codes []int32, hists [][]int, base int) {
-	ParallelNonInPlaceCodesCtlWS(w, srcK, srcV, dstK, dstV, codes, hists, base, nil)
-}
-
-// ParallelNonInPlaceCodesCtlWS is ParallelNonInPlaceCodesWS under a
-// cancellation control (see ParallelScatterBoundsCtlWS).
+// ParallelNonInPlaceCodesCtlWS is ParallelNonInPlace for precomputed
+// partition codes (wide-fanout range partitioning), on the workspace's
+// pool with pooled offset tables and line buffers (a nil workspace
+// allocates). hists must be the per-worker histograms previously computed
+// by ParallelHistogramsCodesCtlWS over the same chunk bounds. Scatter
+// workers checkpoint ctl as in ParallelScatterBoundsCtlWS.
 func ParallelNonInPlaceCodesCtlWS[K kv.Key](w *ws.Workspace, srcK, srcV, dstK, dstV []K, codes []int32, hists [][]int, base int, ctl *hard.Ctl) {
 	workers := len(hists)
 	np := len(hists[0])
@@ -338,11 +305,13 @@ func ParallelNonInPlaceCodesCtlWS[K kv.Key](w *ws.Workspace, srcK, srcV, dstK, d
 	starts := w.Matrix(workers, np)
 	global := w.Ints(np)
 	ThreadStartsInto(starts, global, hists, base)
+	stage := newWorkerStaging[K](w, workers, np)
 	r := ws.Scratch[scatterCodesRunner[K]](w, ws.SlotScatterCodes)
-	*r = scatterCodesRunner[K]{w: w, srcK: srcK, srcV: srcV, dstK: dstK, dstV: dstV, codes: codes, np: np, bounds: bounds, starts: starts, ctl: ctl}
+	*r = scatterCodesRunner[K]{srcK: srcK, srcV: srcV, dstK: dstK, dstV: dstV, codes: codes, bounds: bounds, starts: starts, stage: stage, ctl: ctl}
 	ws.RunWorkersCtl(w, workers, r, ctl)
 	*r = scatterCodesRunner[K]{}
 	ws.PutScratch(w, ws.SlotScatterCodes, r)
+	stage.release(w)
 	w.PutMatrix(starts)
 	w.PutInts(global)
 	w.PutInts(bounds)

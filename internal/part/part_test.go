@@ -275,7 +275,7 @@ func TestNonInPlaceOutOfCacheCodes(t *testing.T) {
 	starts, _ := Starts(hist)
 	dstK := make([]uint32, len(keys))
 	dstV := make([]uint32, len(keys))
-	NonInPlaceOutOfCacheCodes(keys, vals, dstK, dstV, codes, fn.Fanout(), starts)
+	NonInPlaceOutOfCacheCodesCtlWS(nil, keys, vals, dstK, dstV, codes, fn.Fanout(), starts, nil)
 	checkPartitioned(t, keys, vals, dstK, dstV, fn, hist)
 	checkStable(t, dstV, hist)
 }

@@ -69,10 +69,10 @@ func TestWSCodesScatterMatchesPlain(t *testing.T) {
 
 	n := len(keys)
 	plainK, plainV := make([]uint32, n), make([]uint32, n)
-	NonInPlaceOutOfCacheCodes(keys, vals, plainK, plainV, codes, len(hist), starts)
+	NonInPlaceOutOfCacheCodesCtlWS(nil, keys, vals, plainK, plainV, codes, len(hist), starts, nil)
 
 	wsK, wsV := make([]uint32, n), make([]uint32, n)
-	NonInPlaceOutOfCacheCodesWS(w, keys, vals, wsK, wsV, codes, len(hist), starts)
+	NonInPlaceOutOfCacheCodesCtlWS(w, keys, vals, wsK, wsV, codes, len(hist), starts, nil)
 	for i := range plainK {
 		if plainK[i] != wsK[i] || plainV[i] != wsV[i] {
 			t.Fatalf("codes WS scatter diverges from plain at %d", i)
@@ -145,11 +145,11 @@ func TestWSScatterZeroAlloc(t *testing.T) {
 	codes := make([]int32, len(keys))
 	ch := HistogramCodes(keys, fn, codes)
 	cs, _ := Starts(ch)
-	NonInPlaceOutOfCacheCodesWS(w, keys, vals, dstK, dstV, codes, len(ch), cs)
+	NonInPlaceOutOfCacheCodesCtlWS(w, keys, vals, dstK, dstV, codes, len(ch), cs, nil)
 	if a := testing.AllocsPerRun(10, func() {
-		NonInPlaceOutOfCacheCodesWS(w, keys, vals, dstK, dstV, codes, len(ch), cs)
+		NonInPlaceOutOfCacheCodesCtlWS(w, keys, vals, dstK, dstV, codes, len(ch), cs, nil)
 	}); a != 0 {
-		t.Fatalf("warm NonInPlaceOutOfCacheCodesWS allocates %v times", a)
+		t.Fatalf("warm NonInPlaceOutOfCacheCodesCtlWS allocates %v times", a)
 	}
 }
 

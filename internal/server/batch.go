@@ -137,14 +137,14 @@ func (s *Server) runBatch(b *job) {
 
 	arena := s.arenas.acquire(b.n)
 	defer s.arenas.release(arena)
+	var rs partsort.RetryStats
 	opt := &partsort.SortOptions{
 		Threads:     s.cfg.SortThreads,
 		Workspace:   arena.pub(),
 		MaxAuxBytes: estAux(b.n, b.width),
 		AutoTune:    s.cfg.AutoTune,
+		Retry:       s.retryPolicy(&rs),
 	}
-	var rs partsort.RetryStats
-	pol := s.retryPolicy(&rs)
 
 	start := time.Now()
 	var err error
@@ -153,13 +153,13 @@ func (s *Server) runBatch(b *job) {
 		for i, sub := range subs {
 			cols[i] = sub.req.Keys64
 		}
-		err = batchSort(ctx, cols, opt, pol)
+		err = batchSort(ctx, cols, opt)
 	} else {
 		cols := make([][]uint32, len(subs))
 		for i, sub := range subs {
 			cols[i] = sub.req.Keys32
 		}
-		err = batchSort(ctx, cols, opt, pol)
+		err = batchSort(ctx, cols, opt)
 	}
 	dur := time.Since(start)
 	s.met.sortDur(partsort.LSB).ObserveDuration(dur, 0)
@@ -192,7 +192,7 @@ func (s *Server) settleBatch(b *job, shared Result, err error) {
 // as payload, then scatters each column's keys back in sorted order.
 // The merged run uses LSB: the payload domain is dense (0..len(cols)),
 // exactly its best case.
-func batchSort[K partsort.Key](ctx context.Context, cols [][]K, opt *partsort.SortOptions, pol *partsort.RetryPolicy) error {
+func batchSort[K partsort.Key](ctx context.Context, cols [][]K, opt *partsort.SortOptions) error {
 	total := 0
 	for _, c := range cols {
 		total += len(c)
@@ -205,7 +205,7 @@ func batchSort[K partsort.Key](ctx context.Context, cols [][]K, opt *partsort.So
 			vals = append(vals, K(i))
 		}
 	}
-	if err := partsort.SortResilientCtx(ctx, partsort.LSB, keys, vals, opt, pol); err != nil {
+	if err := partsort.SortCtx(ctx, partsort.LSB, keys, vals, opt); err != nil {
 		return err
 	}
 	cur := make([]int, len(cols))

@@ -4,8 +4,9 @@
 // per-tenant in-flight caps, drain state), per-size-class workspace
 // arenas shared across tenants, coalescing of small key-only requests
 // into merged stable runs, a persistent executor pool running every job
-// under the SortResilient retry/fallback supervisor, and graceful
-// drain/cancellation reusing the Try*Ctx rollback machinery. The
+// through partsort.SortCtx under the retry/fallback supervisor
+// (SortOptions.Retry), and graceful drain/cancellation reusing its
+// rollback machinery. The
 // HTTP/JSON and length-prefixed TCP front ends live in http.go and
 // tcp.go; every stage reports into the obs metrics registry (metrics.go).
 //
@@ -588,14 +589,14 @@ func (s *Server) execute(j *job) (Result, error) {
 		return s.executeExternal(j, ctx, arena)
 	}
 
+	var rs partsort.RetryStats
 	opt := &partsort.SortOptions{
 		Threads:     s.cfg.SortThreads,
 		Workspace:   arena.pub(),
 		MaxAuxBytes: j.est,
 		AutoTune:    s.cfg.AutoTune,
+		Retry:       s.retryPolicy(&rs),
 	}
-	var rs partsort.RetryStats
-	pol := s.retryPolicy(&rs)
 
 	start := time.Now()
 	var err error
@@ -604,13 +605,13 @@ func (s *Server) execute(j *job) (Result, error) {
 		if vals == nil {
 			vals = partsort.RIDs[uint64](j.n)
 		}
-		err = partsort.SortResilientCtx(ctx, j.req.Algo, j.req.Keys64, vals, opt, pol)
+		err = partsort.SortCtx(ctx, j.req.Algo, j.req.Keys64, vals, opt)
 	} else {
 		vals := j.req.Vals32
 		if vals == nil {
 			vals = partsort.RIDs[uint32](j.n)
 		}
-		err = partsort.SortResilientCtx(ctx, j.req.Algo, j.req.Keys32, vals, opt, pol)
+		err = partsort.SortCtx(ctx, j.req.Algo, j.req.Keys32, vals, opt)
 	}
 	dur := time.Since(start)
 	s.met.sortDur(j.req.Algo).ObserveDuration(dur, 0)
@@ -667,7 +668,9 @@ func (s *Server) executeExternal(j *job, ctx context.Context, arena *arena) (Res
 	return res, err
 }
 
-// retryPolicy instantiates the per-job policy from the config template.
+// retryPolicy instantiates the per-job policy from the config template;
+// never nil, so every job runs under the supervisor (a nil template
+// selects the default policy).
 func (s *Server) retryPolicy(rs *partsort.RetryStats) *partsort.RetryPolicy {
 	var pol partsort.RetryPolicy
 	if s.cfg.Retry != nil {
@@ -697,7 +700,7 @@ func (s *Server) AuxBytes() int64 { return s.arenas.auxBytes() }
 // Drain gracefully stops the server: admission flips to rejecting,
 // the coalescer flushes its pending batches, the executors finish the
 // queue, and the workspace arenas close. If ctx expires first, every
-// running job is cancelled through its Try*Ctx rollback (inputs left a
+// running job is cancelled through its SortCtx rollback (inputs left a
 // permutation) and Drain waits for the executors to unwind before
 // returning ctx's error. Idempotent: later calls return the first
 // outcome after it completes.

@@ -518,7 +518,7 @@ func TestBatchSortSplitsExactly(t *testing.T) {
 			sums[i] += cols[i][j]
 		}
 	}
-	if err := batchSort(context.Background(), cols, &partsort.SortOptions{Threads: 1}, nil); err != nil {
+	if err := batchSort(context.Background(), cols, &partsort.SortOptions{Threads: 1, Retry: &partsort.RetryPolicy{}}); err != nil {
 		t.Fatalf("batchSort: %v", err)
 	}
 	for i, c := range cols {

@@ -285,7 +285,7 @@ type cmpWorker[K kv.Key] struct {
 	// claimed[q] is set the moment a worker claims partition q; a claimed
 	// partition's destination range is always repaired by cmpRecurse's own
 	// unwind handler, so the cmpRecurseAll coordinator only fixes unclaimed
-	// ones. nil on the legacy (no-Ctl) path.
+	// ones. nil when the run has no Ctl.
 	claimed        []int32
 	next           atomic.Int64
 	passNs, leafNs atomic.Int64

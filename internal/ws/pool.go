@@ -186,16 +186,12 @@ func (p *Pool) RunCtl(n int, r Runner, ctl *hard.Ctl) {
 	}
 }
 
-// GoRun is Run when no pool is available: n fresh goroutines, the
-// pre-workspace behavior. Callers use ws.RunWorkers to pick.
-func GoRun(n int, r Runner) {
-	GoRunCtl(n, r, nil)
-}
-
-// GoRunCtl is GoRun under containment and cancellation: each goroutine runs
-// inside a hard.Group, so a worker panic no longer kills the process (the
-// old GoRun spawned bare goroutines) and re-raises on the caller with the
-// worker's stack after every sibling has finished.
+// GoRunCtl is Run when no pool is available: n fresh goroutines, the
+// pre-workspace behavior (callers use ws.RunWorkers to pick), under
+// containment and cancellation: each goroutine runs inside a hard.Group,
+// so a worker panic re-raises on the caller with the worker's stack after
+// every sibling has finished instead of killing the process. ctl may be
+// nil.
 func GoRunCtl(n int, r Runner, ctl *hard.Ctl) {
 	if n <= 0 {
 		return

@@ -175,10 +175,10 @@ func TestNilPoolRunsSerially(t *testing.T) {
 
 func TestGoRun(t *testing.T) {
 	r := &markRunner{marks: make([]atomic.Int32, 16)}
-	GoRun(16, r)
+	GoRunCtl(16, r, nil)
 	for i := range r.marks {
 		if r.marks[i].Load() != 1 {
-			t.Fatal("GoRun missed a task")
+			t.Fatal("GoRunCtl missed a task")
 		}
 	}
 }

@@ -149,16 +149,14 @@ func TestPublicSorts(t *testing.T) {
 	}
 }
 
-func TestPublicSortWithScratchAndStats(t *testing.T) {
+func TestPublicSortStats(t *testing.T) {
 	n := 1 << 14
 	keys := gen.Uniform[uint32](n, 0, 11)
 	vals := RIDs[uint32](n)
-	tmpK := make([]uint32, n)
-	tmpV := make([]uint32, n)
 	var st SortStats
-	SortLSBWithScratch(keys, vals, tmpK, tmpV, &SortOptions{Threads: 2, Stats: &st})
+	SortLSB(keys, vals, &SortOptions{Threads: 2, Stats: &st})
 	if !IsSorted(keys) || st.Total() == 0 || st.Passes == 0 {
-		t.Fatalf("scratch sort failed or no stats: %+v", st)
+		t.Fatalf("sort failed or no stats: %+v", st)
 	}
 }
 
@@ -212,8 +210,8 @@ func TestPublicValidation(t *testing.T) {
 		f()
 	}
 	mustPanic("mismatched pair", func() { SortLSB([]uint32{1, 2}, []uint32{1}, nil) })
-	mustPanic("short scratch", func() {
-		SortCMPWithScratch([]uint32{1, 2}, []uint32{0, 1}, []uint32{0}, []uint32{0}, nil)
+	mustPanic("bad retry policy", func() {
+		SortCMP([]uint32{1, 2}, []uint32{0, 1}, &SortOptions{Retry: &RetryPolicy{MaxAttempts: -1}})
 	})
 	mustPanic("mismatched dst", func() {
 		Partition([]uint32{1}, []uint32{1}, []uint32{}, []uint32{}, Hash[uint32](2), 1)

@@ -2,7 +2,7 @@
 // backoff on contained worker failures, then degrade along a fallback
 // chain of ever more conservative plans, ending at a guaranteed-progress
 // single-threaded in-place sort. Retry-in-place is sound because the
-// hardened Try layer restores the columns to a permutation of the input
+// hardened sort path restores the columns to a permutation of the input
 // before returning any *InternalError — re-sorting a permutation yields
 // the same sorted output (stability of already-disturbed equal-key runs
 // is the one casualty; see RetryPolicy.NoFallback for callers that need
@@ -72,8 +72,8 @@ func ClassifyError(err error) RetryClass {
 	return RetryFatal
 }
 
-// RetryStats reports what the supervisor did on one SortResilient run,
-// written through RetryPolicy.Stats when non-nil.
+// RetryStats reports what the supervisor did on one supervised SortCtx
+// run, written through RetryPolicy.Stats when non-nil.
 type RetryStats struct {
 	// Attempts is the total number of sort attempts, including the
 	// successful one (1 on a clean first-try success).
@@ -89,9 +89,10 @@ type RetryStats struct {
 	Backoff time.Duration
 }
 
-// RetryPolicy configures SortResilient. The zero value is a working
-// policy: 2 attempts per stage, the full three-stage fallback chain,
-// 1 ms initial backoff doubling to a 100 ms cap, default classifier.
+// RetryPolicy configures the resilient supervisor SortCtx runs under when
+// SortOptions.Retry is set. The zero value is a working policy: 2 attempts
+// per stage, the full three-stage fallback chain, 1 ms initial backoff
+// doubling to a 100 ms cap, default classifier.
 type RetryPolicy struct {
 	// AttemptsPerStage is how many times each fallback stage is tried
 	// before moving to the next (default 2; negative is invalid).
@@ -138,25 +139,26 @@ const (
 	defaultJitterSeed       = 0x9e3779b97f4a7c15
 )
 
-// validate reports the first invalid field, nil-safe.
-func (p *RetryPolicy) validate(fn string) error {
+// validate reports the first invalid field as the SortOptions.Retry
+// sub-field it is, nil-safe.
+func (p *RetryPolicy) validate(fn string) *ArgError {
 	if p == nil {
 		return nil
 	}
 	if p.AttemptsPerStage < 0 {
-		return &ArgError{Func: fn, Field: "AttemptsPerStage", Reason: "must be non-negative"}
+		return &ArgError{Func: fn, Field: "Retry.AttemptsPerStage", Reason: "must be non-negative"}
 	}
 	if p.MaxAttempts < 0 {
-		return &ArgError{Func: fn, Field: "MaxAttempts", Reason: "must be non-negative"}
+		return &ArgError{Func: fn, Field: "Retry.MaxAttempts", Reason: "must be non-negative"}
 	}
 	if p.InitialBackoff < 0 {
-		return &ArgError{Func: fn, Field: "InitialBackoff", Reason: "must be non-negative"}
+		return &ArgError{Func: fn, Field: "Retry.InitialBackoff", Reason: "must be non-negative"}
 	}
 	if p.MaxBackoff < 0 {
-		return &ArgError{Func: fn, Field: "MaxBackoff", Reason: "must be non-negative"}
+		return &ArgError{Func: fn, Field: "Retry.MaxBackoff", Reason: "must be non-negative"}
 	}
 	if p.Multiplier != 0 && p.Multiplier < 1 {
-		return &ArgError{Func: fn, Field: "Multiplier", Reason: "must be at least 1"}
+		return &ArgError{Func: fn, Field: "Retry.Multiplier", Reason: "must be at least 1"}
 	}
 	return nil
 }
@@ -174,19 +176,17 @@ func retrySplitmix(x uint64) uint64 {
 // [backoff/2, backoff).
 func (p *RetryPolicy) backoffFor(i int) time.Duration {
 	initial, maxB, mult, seed := defaultInitialBackoff, defaultMaxBackoff, defaultMultiplier, uint64(defaultJitterSeed)
-	if p != nil {
-		if p.InitialBackoff > 0 {
-			initial = p.InitialBackoff
-		}
-		if p.MaxBackoff > 0 {
-			maxB = p.MaxBackoff
-		}
-		if p.Multiplier >= 1 {
-			mult = p.Multiplier
-		}
-		if p.JitterSeed != 0 {
-			seed = p.JitterSeed
-		}
+	if p.InitialBackoff > 0 {
+		initial = p.InitialBackoff
+	}
+	if p.MaxBackoff > 0 {
+		maxB = p.MaxBackoff
+	}
+	if p.Multiplier >= 1 {
+		mult = p.Multiplier
+	}
+	if p.JitterSeed != 0 {
+		seed = p.JitterSeed
 	}
 	b := float64(initial)
 	for k := 1; k < i && b < float64(maxB); k++ {
@@ -201,7 +201,7 @@ func (p *RetryPolicy) backoffFor(i int) time.Duration {
 
 // attemptsPerStage resolves the per-stage attempt budget.
 func (p *RetryPolicy) attemptsPerStage() int {
-	if p != nil && p.AttemptsPerStage > 0 {
+	if p.AttemptsPerStage > 0 {
 		return p.AttemptsPerStage
 	}
 	return defaultAttemptsPerStage
@@ -209,21 +209,15 @@ func (p *RetryPolicy) attemptsPerStage() int {
 
 // classify applies the configured or default classifier.
 func (p *RetryPolicy) classify(err error) RetryClass {
-	if p != nil && p.Classify != nil {
+	if p.Classify != nil {
 		return p.Classify(err)
 	}
 	return ClassifyError(err)
 }
 
-// SortResilient sorts under the supervisor without a context deadline.
-// See SortResilientCtx.
-func SortResilient[K Key](algo Algorithm, keys, vals []K, opt *SortOptions, pol *RetryPolicy) error {
-	return SortResilientCtx(context.Background(), algo, keys, vals, opt, pol)
-}
-
-// SortResilientCtx runs the requested sort under the resilient
-// supervisor. A clean first attempt costs one extra branch over the
-// plain Try entry point and allocates nothing. On a contained worker
+// sortSupervised runs a validated sort under the resilient supervisor
+// configured by opt.Retry. A clean first attempt costs one extra branch
+// over a single attempt and allocates nothing. On a contained worker
 // failure (*InternalError) the attempt is retried in place — sound
 // because containment restored the columns to a permutation — with
 // capped exponential backoff between attempts; after AttemptsPerStage
@@ -237,21 +231,13 @@ func SortResilient[K Key](algo Algorithm, keys, vals []K, opt *SortOptions, pol 
 // *ArgError and context cancellation never retry. The final stage's
 // in-place sort is unstable; callers that must keep equal-key payload
 // order set RetryPolicy.NoFallback and handle the error themselves.
-func SortResilientCtx[K Key](ctx context.Context, algo Algorithm, keys, vals []K, opt *SortOptions, pol *RetryPolicy) error {
-	if err := pol.validate("SortResilientCtx"); err != nil {
-		return err
-	}
-	switch algo {
-	case LSB, MSB, CMP:
-	default:
-		return &ArgError{Func: "SortResilientCtx", Field: "algo", Reason: "must be LSB, MSB, or CMP"}
-	}
-
+func sortSupervised[K Key](ctx context.Context, algo Algorithm, keys, vals []K, opt *SortOptions) error {
 	// Stage 0, attempt 1: the caller's own plan, straight through. This
 	// is the hot path — no stats, no copies, no closures.
-	err := trySortAlgo(ctx, algo, keys, vals, opt)
+	pol := opt.Retry
+	err := sortOnce(ctx, algo, keys, vals, opt)
 	if err == nil {
-		if pol != nil && pol.Stats != nil {
+		if pol.Stats != nil {
 			*pol.Stats = RetryStats{Attempts: 1}
 		}
 		return nil
@@ -259,22 +245,10 @@ func SortResilientCtx[K Key](ctx context.Context, algo Algorithm, keys, vals []K
 	return sortResilientSlow(ctx, algo, keys, vals, opt, pol, err)
 }
 
-// trySortAlgo dispatches one attempt to the hardened Try layer.
-func trySortAlgo[K Key](ctx context.Context, algo Algorithm, keys, vals []K, opt *SortOptions) error {
-	switch algo {
-	case LSB:
-		return TrySortLSBCtx(ctx, keys, vals, opt)
-	case MSB:
-		return TrySortMSBCtx(ctx, keys, vals, opt)
-	default:
-		return TrySortCmpCtx(ctx, keys, vals, opt)
-	}
-}
-
 // conservativeOpt derives the stage-1 plan: single-threaded, no NUMA
-// layout, no autotuning, every tuning override zeroed back to its
-// default — only the caller's workspace, stats sink, seed, and memory
-// cap survive.
+// layout, no autotuning, no nested supervisor, every tuning override
+// zeroed back to its default — only the caller's workspace, stats sink,
+// seed, and memory cap survive.
 func conservativeOpt(opt *SortOptions) *SortOptions {
 	c := &SortOptions{}
 	if opt != nil {
@@ -305,16 +279,16 @@ func inPlaceOpt(opt *SortOptions) *SortOptions {
 func sortResilientSlow[K Key](ctx context.Context, algo Algorithm, keys, vals []K, opt *SortOptions, pol *RetryPolicy, err error) error {
 	st := RetryStats{Attempts: 1}
 	defer func() {
-		if pol != nil && pol.Stats != nil {
+		if pol.Stats != nil {
 			*pol.Stats = st
 		}
 	}()
 	perStage := pol.attemptsPerStage()
 	maxTotal := retryStages * perStage
-	if pol != nil && pol.NoFallback {
+	if pol.NoFallback {
 		maxTotal = perStage
 	}
-	if pol != nil && pol.MaxAttempts > 0 && pol.MaxAttempts < maxTotal {
+	if pol.MaxAttempts > 0 && pol.MaxAttempts < maxTotal {
 		maxTotal = pol.MaxAttempts
 	}
 	stage, inStage := 0, 1 // attempts consumed in the current stage
@@ -324,7 +298,7 @@ func sortResilientSlow[K Key](ctx context.Context, algo Algorithm, keys, vals []
 			return err
 		case RetryDegrade:
 			obsRetry(func(c *obs.Counters) { c.MemDegrades.Add(1) })
-			if pol != nil && pol.NoFallback {
+			if pol.NoFallback {
 				return err
 			}
 			if stage >= retryStages-1 {
@@ -336,7 +310,7 @@ func sortResilientSlow[K Key](ctx context.Context, algo Algorithm, keys, vals []
 			st.Degraded = true
 		case RetryTransient:
 			if inStage >= perStage {
-				if pol != nil && pol.NoFallback {
+				if pol.NoFallback {
 					return err
 				}
 				if stage >= retryStages-1 {
@@ -370,7 +344,7 @@ func sortResilientSlow[K Key](ctx context.Context, algo Algorithm, keys, vals []
 		inStage++
 		st.Stage = stage
 		obsRetry(func(c *obs.Counters) { c.RetryAttempts.Add(1) })
-		if err = trySortAlgo(ctx, stageAlgo, keys, vals, stageOpt); err == nil {
+		if err = sortOnce(ctx, stageAlgo, keys, vals, stageOpt); err == nil {
 			return nil
 		}
 	}

@@ -12,9 +12,10 @@ import (
 	"repro/internal/gen"
 )
 
-// TestRetryPolicyValidation drives SortResilientCtx through every invalid
-// policy field and the invalid algorithm value: each must come back as an
-// *ArgError naming the offending field, before any sorting happens.
+// TestRetryPolicyValidation drives SortCtx through every invalid
+// SortOptions.Retry field and the invalid algorithm value: each must come
+// back as an *ArgError naming the offending field, before any sorting
+// happens.
 func TestRetryPolicyValidation(t *testing.T) {
 	keys := []uint64{3, 1, 2}
 	vals := []uint64{0, 1, 2}
@@ -24,16 +25,16 @@ func TestRetryPolicyValidation(t *testing.T) {
 		pol   *RetryPolicy
 		field string
 	}{
-		{"negative-attempts-per-stage", LSB, &RetryPolicy{AttemptsPerStage: -1}, "AttemptsPerStage"},
-		{"negative-max-attempts", LSB, &RetryPolicy{MaxAttempts: -3}, "MaxAttempts"},
-		{"negative-initial-backoff", LSB, &RetryPolicy{InitialBackoff: -time.Millisecond}, "InitialBackoff"},
-		{"negative-max-backoff", LSB, &RetryPolicy{MaxBackoff: -1}, "MaxBackoff"},
-		{"shrinking-multiplier", LSB, &RetryPolicy{Multiplier: 0.5}, "Multiplier"},
+		{"negative-attempts-per-stage", LSB, &RetryPolicy{AttemptsPerStage: -1}, "Retry.AttemptsPerStage"},
+		{"negative-max-attempts", LSB, &RetryPolicy{MaxAttempts: -3}, "Retry.MaxAttempts"},
+		{"negative-initial-backoff", LSB, &RetryPolicy{InitialBackoff: -time.Millisecond}, "Retry.InitialBackoff"},
+		{"negative-max-backoff", LSB, &RetryPolicy{MaxBackoff: -1}, "Retry.MaxBackoff"},
+		{"shrinking-multiplier", LSB, &RetryPolicy{Multiplier: 0.5}, "Retry.Multiplier"},
 		{"bad-algorithm", Algorithm(42), nil, "algo"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			err := SortResilient(c.algo, keys, vals, nil, c.pol)
+			err := SortCtx(context.Background(), c.algo, keys, vals, &SortOptions{Retry: c.pol})
 			var ae *ArgError
 			if !errors.As(err, &ae) {
 				t.Fatalf("err = %v (%T), want *ArgError", err, err)
@@ -43,12 +44,12 @@ func TestRetryPolicyValidation(t *testing.T) {
 			}
 		})
 	}
-	// Legal zero-ish policies must sort: nil policy, zero-value policy,
-	// nil classifier, zero backoff (selects defaults).
+	// Legal zero-ish policies must sort: nil policy (one attempt),
+	// zero-value policy, nil classifier, zero backoff (selects defaults).
 	for _, pol := range []*RetryPolicy{nil, {}, {Classify: nil, InitialBackoff: 0, MaxBackoff: 0}} {
 		k := []uint64{3, 1, 2}
 		v := []uint64{0, 1, 2}
-		if err := SortResilient(LSB, k, v, nil, pol); err != nil {
+		if err := SortCtx(context.Background(), LSB, k, v, &SortOptions{Retry: pol}); err != nil {
 			t.Fatalf("valid policy %+v: %v", pol, err)
 		}
 		if !sort.SliceIsSorted(k, func(i, j int) bool { return k[i] < k[j] }) {
@@ -66,8 +67,8 @@ func TestClassifyError(t *testing.T) {
 	}{
 		{"nil", nil, RetryFatal},
 		{"arg", &ArgError{Func: "f", Field: "x", Reason: "r"}, RetryFatal},
-		{"resource", &ResourceError{Op: "TrySortLSB"}, RetryDegrade},
-		{"internal", &InternalError{Op: "TrySortLSB", Value: "boom"}, RetryTransient},
+		{"resource", &ResourceError{Op: "SortCtx"}, RetryDegrade},
+		{"internal", &InternalError{Op: "SortCtx", Value: "boom"}, RetryTransient},
 		{"canceled", context.Canceled, RetryFatal},
 		{"deadline", context.DeadlineExceeded, RetryFatal},
 		{"unknown", errors.New("mystery"), RetryFatal},
@@ -120,7 +121,7 @@ func TestResilientRetriesTransient(t *testing.T) {
 	fault.Enable(fault.SiteLSBPass, 0)
 	var st RetryStats
 	pol := &RetryPolicy{InitialBackoff: time.Microsecond, Stats: &st}
-	err := SortResilient(LSB, keys, vals, nil, pol)
+	err := SortCtx(context.Background(), LSB, keys, vals, &SortOptions{Retry: pol})
 	fault.Disable()
 	if err != nil {
 		t.Fatalf("supervised sort failed: %v", err)
@@ -150,7 +151,7 @@ func TestResilientFallbackChain(t *testing.T) {
 	}))
 	var st RetryStats
 	pol := &RetryPolicy{InitialBackoff: time.Microsecond, Stats: &st}
-	err := SortResilient(LSB, keys, vals, nil, pol)
+	err := SortCtx(context.Background(), LSB, keys, vals, &SortOptions{Retry: pol})
 	fault.Disable()
 	if err != nil {
 		t.Fatalf("supervised sort failed: %v", err)
@@ -175,7 +176,7 @@ func TestResilientDegradeOnResourceError(t *testing.T) {
 	pol := &RetryPolicy{InitialBackoff: time.Microsecond, Stats: &st}
 	// 256 KiB: far below the ~1 MiB of tmp columns LSB wants for 64K
 	// 64-bit pairs, comfortably above the in-place MSB histograms.
-	err := SortResilient(LSB, keys, vals, &SortOptions{MaxAuxBytes: 256 << 10}, pol)
+	err := SortCtx(context.Background(), LSB, keys, vals, &SortOptions{MaxAuxBytes: 256 << 10, Retry: pol})
 	if err != nil {
 		t.Fatalf("supervised sort failed: %v", err)
 	}
@@ -190,8 +191,8 @@ func TestResilientDegradeOnResourceError(t *testing.T) {
 	// The same squeeze under NoFallback must surface the *ResourceError.
 	keys2 := append([]uint64(nil), ref...)
 	vals2 := RIDs[uint64](n)
-	err = SortResilient(LSB, keys2, vals2, &SortOptions{MaxAuxBytes: 256 << 10},
-		&RetryPolicy{NoFallback: true, InitialBackoff: time.Microsecond})
+	err = SortCtx(context.Background(), LSB, keys2, vals2, &SortOptions{MaxAuxBytes: 256 << 10,
+		Retry: &RetryPolicy{NoFallback: true, InitialBackoff: time.Microsecond}})
 	var re *ResourceError
 	if !errors.As(err, &re) {
 		t.Fatalf("NoFallback err = %v (%T), want *ResourceError", err, err)
@@ -211,8 +212,8 @@ func TestResilientNoFallback(t *testing.T) {
 		fault.SiteLSBPass: {Prob: 1}, // unlimited budget: every attempt dies
 	}))
 	var st RetryStats
-	err := SortResilient(LSB, keys, vals, nil,
-		&RetryPolicy{NoFallback: true, InitialBackoff: time.Microsecond, Stats: &st})
+	err := SortCtx(context.Background(), LSB, keys, vals, &SortOptions{
+		Retry: &RetryPolicy{NoFallback: true, InitialBackoff: time.Microsecond, Stats: &st}})
 	fault.Disable()
 	var ie *InternalError
 	if !errors.As(err, &ie) {
@@ -236,8 +237,8 @@ func TestResilientMaxAttempts(t *testing.T) {
 		fault.SiteMSBRecurse: {Prob: 1},
 	}))
 	var st RetryStats
-	err := SortResilient(LSB, keys, vals, nil,
-		&RetryPolicy{MaxAttempts: 3, InitialBackoff: time.Microsecond, Stats: &st})
+	err := SortCtx(context.Background(), LSB, keys, vals, &SortOptions{
+		Retry: &RetryPolicy{MaxAttempts: 3, InitialBackoff: time.Microsecond, Stats: &st}})
 	fault.Disable()
 	if err == nil {
 		t.Fatal("every site armed with prob 1: the sort cannot have succeeded")
@@ -258,7 +259,7 @@ func TestResilientContextFatal(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var st RetryStats
-	err := SortResilientCtx(ctx, LSB, keys, vals, nil, &RetryPolicy{Stats: &st})
+	err := SortCtx(ctx, LSB, keys, vals, &SortOptions{Retry: &RetryPolicy{Stats: &st}})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -273,8 +274,8 @@ func TestResilientContextFatal(t *testing.T) {
 	}))
 	dctx, dcancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer dcancel()
-	err = SortResilientCtx(dctx, LSB, keys, vals, nil,
-		&RetryPolicy{InitialBackoff: time.Hour, MaxBackoff: time.Hour})
+	err = SortCtx(dctx, LSB, keys, vals, &SortOptions{
+		Retry: &RetryPolicy{InitialBackoff: time.Hour, MaxBackoff: time.Hour}})
 	fault.Disable()
 	var ie *InternalError
 	if !errors.As(err, &ie) {
@@ -302,8 +303,8 @@ func TestResilientAllAlgorithms(t *testing.T) {
 			vals := RIDs[uint64](n)
 			base := runtime.NumGoroutine()
 			fault.Enable(c.site, 0)
-			err := SortResilient(c.algo, keys, vals,
-				&SortOptions{Threads: 4}, &RetryPolicy{InitialBackoff: time.Microsecond})
+			err := SortCtx(context.Background(), c.algo, keys, vals, &SortOptions{
+				Threads: 4, Retry: &RetryPolicy{InitialBackoff: time.Microsecond}})
 			fault.Disable()
 			if err != nil {
 				t.Fatalf("supervised %v failed: %v", c.algo, err)
@@ -323,9 +324,9 @@ func TestResilientZeroAllocCleanPath(t *testing.T) {
 	defer w.Close()
 	keys := gen.Uniform[uint64](n, 0, 31)
 	vals := RIDs[uint64](n)
-	opt := &SortOptions{Workspace: w}
+	opt := &SortOptions{Workspace: w, Retry: &RetryPolicy{}}
 	run := func() {
-		if err := SortResilient(MSB, keys, vals, opt, nil); err != nil {
+		if err := SortCtx(context.Background(), MSB, keys, vals, opt); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -335,33 +336,32 @@ func TestResilientZeroAllocCleanPath(t *testing.T) {
 	}
 }
 
-// BenchmarkResilientOverhead prices the supervisor against the bare Try
-// entry point on identical warmed-workspace sorts: the clean first-try
-// path must cost one classification branch and zero allocations.
+// BenchmarkResilientOverhead prices the supervisor against a single
+// SortCtx attempt on identical warmed-workspace sorts: the clean
+// first-try path must cost one classification branch and zero
+// allocations.
 func BenchmarkResilientOverhead(b *testing.B) {
 	n := 1 << 14
 	w := NewWorkspace()
 	defer w.Close()
 	keys := gen.Uniform[uint64](n, 0, 37)
 	vals := RIDs[uint64](n)
-	opt := &SortOptions{Workspace: w}
-	if err := TrySortMSB(keys, vals, opt); err != nil {
+	ctx := context.Background()
+	once := &SortOptions{Workspace: w}
+	if err := SortCtx(ctx, MSB, keys, vals, once); err != nil {
 		b.Fatal(err)
 	}
-	b.Run("try", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if err := TrySortMSB(keys, vals, opt); err != nil {
-				b.Fatal(err)
+	for _, arm := range []struct {
+		name string
+		opt  *SortOptions
+	}{{"try", once}, {"resilient", &SortOptions{Workspace: w, Retry: &RetryPolicy{}}}} {
+		b.Run(arm.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := SortCtx(ctx, MSB, keys, vals, arm.opt); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
-	b.Run("resilient", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if err := SortResilient(MSB, keys, vals, opt, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+		})
+	}
 }

@@ -1,6 +1,9 @@
 package partsort
 
 import (
+	"context"
+
+	"repro/internal/hard"
 	"repro/internal/kv"
 	"repro/internal/numa"
 	"repro/internal/sortalgo"
@@ -39,14 +42,16 @@ type SortOptions struct {
 	// zero steady-state heap allocations. See NewWorkspace.
 	Workspace *Workspace
 	// MaxAuxBytes caps the auxiliary memory a sort may take for scratch
-	// arrays (0: half of the machine's available memory). SortCMP and
-	// TrySortCmp switch to the in-place block-permutation layout — no
-	// linear tmp arrays, no codes column — when the legacy footprint
-	// would exceed the cap (parallel runs use it regardless, unless the
-	// NUMA-aware layout is engaged), and the AutoTune planner budgets
-	// its algorithm choice against the same cap. Scratch the caller
-	// provides (SortCMPWithScratch, SortLSBWithScratch) is never
-	// counted. Negative is invalid.
+	// arrays (0: half of the machine's available memory). Every in-memory
+	// sort enforces it — SortCtx and the panicking wrappers alike: a
+	// Workspace meters each acquisition against it, and without one the
+	// linear tmp arrays are checked up front; an overrun is a
+	// *ResourceError. CMP switches to the in-place block-permutation
+	// layout — no linear tmp arrays, no codes column — when the legacy
+	// footprint would exceed the cap (parallel runs use it regardless,
+	// unless the NUMA-aware layout is engaged), and the AutoTune planner
+	// budgets its algorithm choice against the same cap. Negative is
+	// invalid.
 	MaxAuxBytes int64
 	// AutoTune engages the machine-calibrated adaptive planner: the sort
 	// samples the key column, prices candidate configurations with the
@@ -62,6 +67,11 @@ type SortOptions struct {
 	// SetMachineProfile, or LoadMachineProfile, or quick-calibrated
 	// lazily on first use). Ignored unless AutoTune is set.
 	Profile *MachineProfile
+	// Retry, when non-nil, runs SortCtx under the resilient supervisor:
+	// contained worker failures retry in place, then degrade along the
+	// fallback chain (see RetryPolicy; the zero value is a working
+	// policy). nil makes exactly one attempt. Ignored by SortExternal.
+	Retry *RetryPolicy
 
 	// TempDir is where SortExternal creates its per-run spill directory
 	// ("" selects os.TempDir()). Ignored by the in-memory sorts.
@@ -82,7 +92,7 @@ type SortOptions struct {
 	MaxSpillBytes int64
 }
 
-func (o *SortOptions) toInternal() (sortalgo.Options, *numa.Topology) {
+func (o *SortOptions) toInternal() sortalgo.Options {
 	if o == nil {
 		o = &SortOptions{}
 	}
@@ -100,78 +110,142 @@ func (o *SortOptions) toInternal() (sortalgo.Options, *numa.Topology) {
 		Stats:       o.Stats,
 		Seed:        o.Seed,
 		Workspace:   o.Workspace.internal(),
-	}, topo
+	}
 }
 
-// scratchPair takes the two auxiliary arrays from the workspace (pooled)
-// or the allocator (nil workspace).
+// sortOp names SortCtx in the errors it returns.
+const sortOp = "SortCtx"
+
+// SortCtx sorts (keys, vals) by key with algo under ctx. It is the one
+// hardened path behind every in-memory sort of this package:
+//
+//   - LSB, the stable NUMA-aware LSB radix-sort (Section 4.2.1): the
+//     fastest choice for dense (compressed) key domains, using one linear
+//     auxiliary array pair. Payloads of equal keys keep their input order.
+//   - MSB, the fully in-place MSB radix-sort (Section 4.2.2): no linear
+//     auxiliary space, and passes proportional to log n rather than the
+//     key domain width — the best choice for sparse domains or when memory
+//     is tight. Not stable.
+//   - CMP, the range-partitioning comparison sort (Section 4.3): sampled
+//     splitters give perfect load balance and skew immunity regardless of
+//     the key distribution; heavily repeated keys get single-key
+//     partitions that skip sorting entirely. Parallel runs (and any run
+//     whose linear scratch would exceed MaxAuxBytes) use the in-place
+//     block-permutation layout; otherwise one linear auxiliary array pair
+//     is taken. Not stable.
+//
+// Argument problems return *ArgError, an auxiliary-memory budget overrun
+// (SortOptions.MaxAuxBytes) *ResourceError, and a contained worker panic
+// *InternalError. Cancellation is observed at pass boundaries and between
+// chunks of parallel loops (bounded latency) and returns ctx.Err(). On
+// error keys/vals hold a permutation of the input (in unspecified order)
+// whenever the failure struck at an interruption point — always the case
+// for cancellation and injected faults. With opt.Retry set the sort runs
+// under the resilient supervisor (see RetryPolicy); otherwise it makes
+// exactly one attempt.
+func SortCtx[K Key](ctx context.Context, algo Algorithm, keys, vals []K, opt *SortOptions) error {
+	if err := validatePairs(sortOp, "keys", "vals", keys, vals); err != nil {
+		return err
+	}
+	if err := validateOptions(sortOp, opt); err != nil {
+		return err
+	}
+	switch algo {
+	case LSB, MSB, CMP:
+	default:
+		return &ArgError{Func: sortOp, Field: "algo", Reason: "must be LSB, MSB, or CMP"}
+	}
+	if opt != nil && opt.Retry != nil {
+		return sortSupervised(ctx, algo, keys, vals, opt)
+	}
+	return sortOnce(ctx, algo, keys, vals, opt)
+}
+
+// sortOnce is one hardened attempt of a validated sort: tryRun arms the
+// cancellation control and budget, autotune fills the knobs, and the
+// sortalgo driver runs with the control installed.
+func sortOnce[K Key](ctx context.Context, algo Algorithm, keys, vals []K, opt *SortOptions) error {
+	return tryRun(sortOp, ctx, optWorkspace(opt), optMaxAux(opt), func(ctl *hard.Ctl) {
+		force, stable, tight := tune.AlgoCMP, false, false
+		switch algo {
+		case LSB:
+			force, stable = tune.AlgoLSB, true
+		case MSB:
+			force, tight = tune.AlgoMSB, true
+		}
+		eff, plan := autotune(keys, opt, force, stable, tight)
+		io := eff.toInternal()
+		io.Ctl = ctl
+		switch {
+		case algo == MSB:
+			sortalgo.MSB(keys, vals, io)
+		case algo == CMP && cmpInPlace[K](eff, plan, len(keys)):
+			sortalgo.CMP[K](keys, vals, nil, nil, io)
+		default:
+			tmpK, tmpV, w := scratchPair[K](eff, len(keys))
+			defer func() {
+				ws.PutKeys(w, tmpK)
+				ws.PutKeys(w, tmpV)
+			}()
+			if algo == LSB {
+				sortalgo.LSB(keys, vals, tmpK, tmpV, io)
+			} else {
+				sortalgo.CMP(keys, vals, tmpK, tmpV, io)
+			}
+		}
+	})
+}
+
+// scratchPair takes the two linear auxiliary arrays from the workspace,
+// whose ledger enforces the run's budget, or from the allocator — in which
+// case the pair is checked against the budget (MaxAuxBytes, or the default
+// half-of-available) here, so a budget-less allocation cannot silently
+// exceed it.
 func scratchPair[K Key](opt *SortOptions, n int) ([]K, []K, *ws.Workspace) {
-	var w *ws.Workspace
-	if opt != nil {
-		w = opt.Workspace.internal()
+	w := optWorkspace(opt).internal()
+	if w == nil {
+		need := 2 * int64(n) * int64(kv.Width[K]()/8)
+		budget := optMaxAux(opt)
+		if budget == 0 {
+			budget = tune.DefaultAuxBudget()
+		}
+		if budget > 0 && need > budget {
+			panic(&ws.BudgetError{Need: need, InUse: 0, Budget: budget})
+		}
 	}
 	return ws.Keys[K](w, n), ws.Keys[K](w, n), w
 }
 
-// SortLSB sorts (keys, vals) by key with the stable NUMA-aware LSB
-// radix-sort (Section 4.2.1): the fastest choice for dense (compressed)
-// key domains, using one linear auxiliary array allocated internally.
-// Payloads of equal keys keep their input order.
-func SortLSB[K Key](keys, vals []K, opt *SortOptions) {
-	mustValid(validatePairs("SortLSB", "keys", "vals", keys, vals))
-	mustValid(validateOptions("SortLSB", opt))
-	tmpK, tmpV, w := scratchPair[K](opt, len(keys))
-	SortLSBWithScratch(keys, vals, tmpK, tmpV, opt)
-	ws.PutKeys(w, tmpK)
-	ws.PutKeys(w, tmpV)
-}
-
-// SortLSBWithScratch is SortLSB with caller-provided auxiliary arrays
-// (same length as keys), for pre-allocated pipelines.
-func SortLSBWithScratch[K Key](keys, vals, tmpKeys, tmpVals []K, opt *SortOptions) {
-	mustValid(validatePairs("SortLSBWithScratch", "keys", "vals", keys, vals))
-	mustValid(validateScratch("SortLSBWithScratch", keys, tmpKeys, tmpVals))
-	mustValid(validateOptions("SortLSBWithScratch", opt))
-	opt, _ = autotune(keys, opt, tune.AlgoLSB, true, false)
-	io, _ := opt.toInternal()
-	sortalgo.LSB(keys, vals, tmpKeys, tmpVals, io)
-}
-
-// SortMSB sorts (keys, vals) by key with the fully in-place MSB radix-sort
-// (Section 4.2.2): no linear auxiliary space, and passes proportional to
-// log n rather than the key domain width — the best choice for sparse
-// domains or when memory is tight. Not stable.
-func SortMSB[K Key](keys, vals []K, opt *SortOptions) {
-	mustValid(validatePairs("SortMSB", "keys", "vals", keys, vals))
-	mustValid(validateOptions("SortMSB", opt))
-	opt, _ = autotune(keys, opt, tune.AlgoMSB, false, true)
-	io, _ := opt.toInternal()
-	sortalgo.MSB(keys, vals, io)
-}
-
-// SortCMP sorts (keys, vals) by key with the range-partitioning comparison
-// sort (Section 4.3): sampled splitters give perfect load balance and skew
-// immunity regardless of the key distribution; heavily repeated keys get
-// single-key partitions that skip sorting entirely. Parallel runs (and any
-// run whose linear scratch would exceed MaxAuxBytes) use the in-place
-// block-permutation layout; otherwise one linear auxiliary array pair is
-// allocated internally. Not stable.
-func SortCMP[K Key](keys, vals []K, opt *SortOptions) {
-	mustValid(validatePairs("SortCMP", "keys", "vals", keys, vals))
-	mustValid(validateOptions("SortCMP", opt))
-	eff, plan := autotune(keys, opt, tune.AlgoCMP, false, false)
-	io, _ := eff.toInternal()
-	if cmpInPlace[K](eff, plan, len(keys)) {
-		sortalgo.CMP[K](keys, vals, nil, nil, io)
-		return
+// mustSort is the panicking wrappers' bridge to SortCtx: they raise
+// exactly the typed error SortCtx returns.
+func mustSort(err error) {
+	if err != nil {
+		panic(err)
 	}
-	tmpK, tmpV, w := scratchPair[K](eff, len(keys))
-	sortalgo.CMP(keys, vals, tmpK, tmpV, io)
-	ws.PutKeys(w, tmpK)
-	ws.PutKeys(w, tmpV)
 }
 
-// cmpInPlace decides SortCMP's layout: the in-place block-permutation
+// SortLSB is SortCtx(context.Background(), LSB, keys, vals, opt) that
+// panics with the returned error: the stable LSB radix-sort under the same
+// auxiliary-memory budget and panic containment.
+func SortLSB[K Key](keys, vals []K, opt *SortOptions) {
+	mustSort(SortCtx(context.Background(), LSB, keys, vals, opt))
+}
+
+// SortMSB is SortCtx(context.Background(), MSB, keys, vals, opt) that
+// panics with the returned error: the in-place MSB radix-sort under the
+// same auxiliary-memory budget and panic containment.
+func SortMSB[K Key](keys, vals []K, opt *SortOptions) {
+	mustSort(SortCtx(context.Background(), MSB, keys, vals, opt))
+}
+
+// SortCMP is SortCtx(context.Background(), CMP, keys, vals, opt) that
+// panics with the returned error: the range-partitioning comparison sort
+// under the same auxiliary-memory budget and panic containment.
+func SortCMP[K Key](keys, vals []K, opt *SortOptions) {
+	mustSort(SortCtx(context.Background(), CMP, keys, vals, opt))
+}
+
+// cmpInPlace decides CMP's layout: the in-place block-permutation
 // path whenever the NUMA-aware first pass (which must route through tmp)
 // is not engaged AND any of — the planner asked for it, the run is
 // parallel (the permutation kernel beats scatter+copy-back there and
@@ -199,16 +273,6 @@ func cmpInPlace[K Key](opt *SortOptions, plan *SortPlan, n int) bool {
 	width := int64(kv.Width[K]())
 	legacy := int64(n) * (2*width/8 + 4)
 	return legacy > budget
-}
-
-// SortCMPWithScratch is SortCMP with caller-provided auxiliary arrays.
-func SortCMPWithScratch[K Key](keys, vals, tmpKeys, tmpVals []K, opt *SortOptions) {
-	mustValid(validatePairs("SortCMPWithScratch", "keys", "vals", keys, vals))
-	mustValid(validateScratch("SortCMPWithScratch", keys, tmpKeys, tmpVals))
-	mustValid(validateOptions("SortCMPWithScratch", opt))
-	opt, _ = autotune(keys, opt, tune.AlgoCMP, false, false)
-	io, _ := opt.toInternal()
-	sortalgo.CMP(keys, vals, tmpKeys, tmpVals, io)
 }
 
 // IsSorted reports whether keys are in non-decreasing order.

@@ -123,13 +123,13 @@ func TestStressCancelStorm(t *testing.T) {
 		run  func(ctx context.Context, k, v []uint32) error
 	}{
 		{"lsb", func(ctx context.Context, k, v []uint32) error {
-			return TrySortLSBCtx(ctx, k, v, &SortOptions{Threads: 4})
+			return SortCtx(ctx, LSB, k, v, &SortOptions{Threads: 4})
 		}},
 		{"msb", func(ctx context.Context, k, v []uint32) error {
-			return TrySortMSBCtx(ctx, k, v, &SortOptions{Threads: 4})
+			return SortCtx(ctx, MSB, k, v, &SortOptions{Threads: 4})
 		}},
 		{"cmp", func(ctx context.Context, k, v []uint32) error {
-			return TrySortCmpCtx(ctx, k, v, &SortOptions{Threads: 4, CacheTuples: 1 << 12})
+			return SortCtx(ctx, CMP, k, v, &SortOptions{Threads: 4, CacheTuples: 1 << 12})
 		}},
 	}
 	const lanes = 8

@@ -3,7 +3,10 @@ package partsort
 import (
 	"context"
 	"errors"
+	"os"
+	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -34,11 +37,24 @@ type tryAlgo struct {
 	run  func(ctx context.Context, keys, vals []uint32, opt *SortOptions) error
 }
 
-var tryAlgos = []tryAlgo{
-	{"lsb", TrySortLSBCtx[uint32]},
-	{"msb", TrySortMSBCtx[uint32]},
-	{"cmp", TrySortCmpCtx[uint32]},
+// sortWith binds SortCtx to one algorithm.
+func sortWith(algo Algorithm) func(context.Context, []uint32, []uint32, *SortOptions) error {
+	return func(ctx context.Context, keys, vals []uint32, opt *SortOptions) error {
+		return SortCtx(ctx, algo, keys, vals, opt)
+	}
 }
+
+var tryAlgos = []tryAlgo{
+	{"lsb", sortWith(LSB)},
+	{"msb", sortWith(MSB)},
+	{"cmp", sortWith(CMP)},
+}
+
+// extAlgo is the external sort, the fault matrix's fourth column.
+var extAlgo = tryAlgo{"ext", func(ctx context.Context, keys, vals []uint32, opt *SortOptions) error {
+	_, err := SortExternalCtx(ctx, keys, vals, opt)
+	return err
+}}
 
 func TestTrySortSucceeds(t *testing.T) {
 	n := 1 << 15
@@ -62,6 +78,7 @@ func TestTrySortSucceeds(t *testing.T) {
 }
 
 func TestTryArgErrors(t *testing.T) {
+	ctx := context.Background()
 	keys := make([]uint32, 8)
 	vals := make([]uint32, 8)
 	short := make([]uint32, 7)
@@ -70,13 +87,13 @@ func TestTryArgErrors(t *testing.T) {
 		field string
 		err   error
 	}{
-		{"pair", "vals", TrySortLSB(keys, short, nil)},
-		{"threads", "Threads", TrySortMSB(keys, vals, &SortOptions{Threads: -1})},
-		{"regions", "Regions", TrySortCmp(keys, vals, &SortOptions{Regions: -2})},
-		{"radix-high", "RadixBits", TrySortLSB(keys, vals, &SortOptions{RadixBits: 17})},
-		{"radix-neg", "RadixBits", TrySortLSB(keys, vals, &SortOptions{RadixBits: -3})},
-		{"fanout", "RangeFanout", TrySortCmp(keys, vals, &SortOptions{RangeFanout: -1})},
-		{"cache", "CacheTuples", TrySortMSB(keys, vals, &SortOptions{CacheTuples: -1})},
+		{"pair", "vals", SortCtx(ctx, LSB, keys, short, nil)},
+		{"threads", "Threads", SortCtx(ctx, MSB, keys, vals, &SortOptions{Threads: -1})},
+		{"regions", "Regions", SortCtx(ctx, CMP, keys, vals, &SortOptions{Regions: -2})},
+		{"radix-high", "RadixBits", SortCtx(ctx, LSB, keys, vals, &SortOptions{RadixBits: 17})},
+		{"radix-neg", "RadixBits", SortCtx(ctx, LSB, keys, vals, &SortOptions{RadixBits: -3})},
+		{"fanout", "RangeFanout", SortCtx(ctx, CMP, keys, vals, &SortOptions{RangeFanout: -1})},
+		{"cache", "CacheTuples", SortCtx(ctx, MSB, keys, vals, &SortOptions{CacheTuples: -1})},
 	}
 	for _, c := range cases {
 		var ae *ArgError
@@ -91,7 +108,7 @@ func TestTryArgErrors(t *testing.T) {
 	for _, opt := range []*SortOptions{nil, {}, {RadixBits: 1}, {RadixBits: 16}} {
 		k := gen.Uniform[uint32](1<<10, 0, 2)
 		v := RIDs[uint32](len(k))
-		if err := TrySortLSB(k, v, opt); err != nil {
+		if err := SortCtx(ctx, LSB, k, v, opt); err != nil {
 			t.Fatalf("valid options %+v: %v", opt, err)
 		}
 		if !IsSorted(k) {
@@ -100,22 +117,117 @@ func TestTryArgErrors(t *testing.T) {
 	}
 }
 
-// TestLegacyPanicsTyped pins the legacy entry points to the shared
-// validator: they still panic, and the value is the same typed *ArgError
-// the Try API returns.
+// recoverPanic runs f and returns the value it panicked with (nil if it
+// returned normally).
+func recoverPanic(f func()) (v any) {
+	defer func() { v = recover() }()
+	f()
+	return nil
+}
+
+// wrapperRun is one input sorted twice under identical options: through a
+// panicking wrapper and through SortCtx.
+type wrapperRun struct {
+	panicked     any
+	err          error
+	wrapK, wrapV []uint32
+	ctxK, ctxV   []uint32
+}
+
+// runWrapperAndCtx sorts fresh copies of keys/vals with wrapper and with
+// SortCtx(algo), each under a fresh opt() and, when site is set, a
+// single-shot fault armed at it.
+func runWrapperAndCtx(algo Algorithm, wrapper func(keys, vals []uint32, opt *SortOptions),
+	keys, vals []uint32, opt func() *SortOptions, site fault.Site) wrapperRun {
+	r := wrapperRun{
+		wrapK: append([]uint32(nil), keys...), wrapV: append([]uint32(nil), vals...),
+		ctxK: append([]uint32(nil), keys...), ctxV: append([]uint32(nil), vals...),
+	}
+	defer fault.Disable()
+	if site != "" {
+		fault.Enable(site, 0)
+	}
+	r.panicked = recoverPanic(func() { wrapper(r.wrapK, r.wrapV, opt()) })
+	if site != "" {
+		fault.Enable(site, 0)
+	}
+	r.err = SortCtx(context.Background(), algo, r.ctxK, r.ctxV, opt())
+	return r
+}
+
+// TestLegacyPanicsTyped pins the panicking wrappers to SortCtx: for every
+// algorithm, each wrapper panics with exactly the typed error SortCtx
+// returns — *ArgError for invalid options, *ResourceError for a workspace
+// budget overrun, *InternalError for a contained worker fault (input left
+// a permutation) — and a clean run produces identical output.
 func TestLegacyPanicsTyped(t *testing.T) {
-	defer func() {
-		e := recover()
-		ae, ok := e.(*ArgError)
-		if !ok {
-			t.Fatalf("legacy panic value %v (%T), want *ArgError", e, e)
-		}
-		if ae.Field != "RadixBits" {
-			t.Fatalf("field %q, want RadixBits", ae.Field)
-		}
-	}()
-	SortLSB(make([]uint32, 4), make([]uint32, 4), &SortOptions{RadixBits: 99})
-	t.Fatal("no panic")
+	n := 1 << 15
+	keys := gen.Uniform[uint32](n, 0, 41)
+	vals := RIDs[uint32](n)
+	cases := []struct {
+		algo    Algorithm
+		wrapper func(keys, vals []uint32, opt *SortOptions)
+		site    fault.Site
+	}{
+		{LSB, SortLSB[uint32], fault.SiteLSBPass},
+		{MSB, SortMSB[uint32], fault.SiteMSBRecurse},
+		{CMP, SortCMP[uint32], fault.SiteCMPPass},
+	}
+	for _, c := range cases {
+		t.Run(c.algo.String(), func(t *testing.T) {
+			run := func(opt func() *SortOptions, site fault.Site) wrapperRun {
+				return runWrapperAndCtx(c.algo, c.wrapper, keys, vals, opt, site)
+			}
+
+			// *ArgError: identical value.
+			r := run(func() *SortOptions { return &SortOptions{RadixBits: 99} }, "")
+			if ae, ok := r.panicked.(*ArgError); !ok || ae.Field != "RadixBits" {
+				t.Fatalf("wrapper panic %v (%T), want *ArgError on RadixBits", r.panicked, r.panicked)
+			}
+			if !reflect.DeepEqual(r.panicked, r.err) {
+				t.Fatalf("wrapper panicked with %#v, SortCtx returned %#v", r.panicked, r.err)
+			}
+
+			// *ResourceError: a fresh budgeted workspace per call makes the
+			// failing acquisition, and so the error value, deterministic.
+			r = run(func() *SortOptions {
+				w := NewWorkspace()
+				t.Cleanup(w.Close)
+				return &SortOptions{Workspace: w, MaxAuxBytes: 4096}
+			}, "")
+			if _, ok := r.panicked.(*ResourceError); !ok {
+				t.Fatalf("wrapper panic %v (%T), want *ResourceError", r.panicked, r.panicked)
+			}
+			if !reflect.DeepEqual(r.panicked, r.err) {
+				t.Fatalf("wrapper panicked with %#v, SortCtx returned %#v", r.panicked, r.err)
+			}
+
+			// *InternalError: same operation and injected value (the stacks
+			// differ), input a permutation on both paths.
+			r = run(func() *SortOptions { return &SortOptions{Threads: 4, CacheTuples: 1 << 12} }, c.site)
+			pie, ok := r.panicked.(*InternalError)
+			var ie *InternalError
+			if !ok || !errors.As(r.err, &ie) {
+				t.Fatalf("wrapper panic %v (%T), SortCtx err %v (%T): want *InternalError from both",
+					r.panicked, r.panicked, r.err, r.err)
+			}
+			if pie.Op != ie.Op || pie.Value != ie.Value || !errors.Is(pie, fault.Injected{Site: c.site}) {
+				t.Fatalf("wrapper panicked with %v, SortCtx returned %v", pie, ie)
+			}
+			if !SameMultiset(keys, vals, r.wrapK, r.wrapV) || !SameMultiset(keys, vals, r.ctxK, r.ctxV) {
+				t.Fatal("contained fault left the input not a permutation")
+			}
+
+			// Clean single-threaded run: identical output.
+			r = run(func() *SortOptions { return &SortOptions{Threads: 1} }, "")
+			if r.panicked != nil || r.err != nil {
+				t.Fatalf("clean run: wrapper panic %v, SortCtx err %v", r.panicked, r.err)
+			}
+			if !IsSorted(r.wrapK) || !slices.Equal(r.wrapK, r.ctxK) || !slices.Equal(r.wrapV, r.ctxV) {
+				t.Fatal("wrapper and SortCtx outputs differ")
+			}
+		})
+	}
 }
 
 // faultCase is one (algorithm, site, options) cell of the injection
@@ -146,9 +258,14 @@ var faultMatrix = []faultCase{
 	{"cmp", fault.SiteBlockCleanup, 4, 1, 1 << 12},
 	{"cmp", fault.SiteCMPPass, 4, 2, 1 << 12},
 	{"cmp", fault.SiteShuffleStart, 4, 2, 1 << 12},
+	{"ext", fault.SiteExtSpill, 4, 1, 0},
+	{"ext", fault.SiteExtMerge, 4, 1, 0},
 }
 
 func algoByName(name string) tryAlgo {
+	if name == extAlgo.name {
+		return extAlgo
+	}
 	for _, a := range tryAlgos {
 		if a.name == name {
 			return a
@@ -158,16 +275,20 @@ func algoByName(name string) tryAlgo {
 }
 
 // TestTryFaultMatrix arms every registered injection site against every
-// sort that declares it and proves the hardened-execution contract: the
-// panic comes back as *InternalError wrapping the injected value (never a
-// crash), no goroutine leaks, and keys/vals are left a permutation of the
-// input.
+// sort that declares it — SortCtx for the in-memory sorts, SortExternalCtx
+// under forced-spill options — and proves the hardened-execution contract:
+// the panic comes back as *InternalError wrapping the injected value
+// (never a crash), no goroutine leaks, the fault package's resource ledger
+// drains, the spill directory is left empty, and keys/vals are left a
+// permutation of the input. Every fault.Sites() entry must have a cell.
 func TestTryFaultMatrix(t *testing.T) {
 	defer fault.Disable()
 	n := 1 << 15
 	keys := gen.Uniform[uint32](n, 0, 3)
 	vals := RIDs[uint32](n)
+	spillDir := t.TempDir()
 
+	covered := map[fault.Site]bool{}
 	for _, withWS := range []bool{false, true} {
 		var w *Workspace
 		if withWS {
@@ -177,19 +298,28 @@ func TestTryFaultMatrix(t *testing.T) {
 			// the goroutine baseline, not mistaken for a leak.
 			k := append([]uint32(nil), keys...)
 			v := append([]uint32(nil), vals...)
-			if err := TrySortLSB(k, v, &SortOptions{Threads: 4, Workspace: w}); err != nil {
+			if err := SortCtx(context.Background(), LSB, k, v, &SortOptions{Threads: 4, Workspace: w}); err != nil {
 				t.Fatal(err)
 			}
 		}
 		for _, c := range faultMatrix {
+			opt := &SortOptions{Threads: c.threads, Regions: c.regions, CacheTuples: c.cache, Workspace: w}
+			if c.algo == extAlgo.name {
+				// Forced-spill shape: segments far below n so the run
+				// leaves RAM, a real fanout, and merges deep enough to
+				// probe.
+				opt.TempDir = spillDir
+				opt.SpillSegmentTuples = 1 << 12
+				opt.SpillBucketBits = 3
+				opt.SpillMergeWidth = 4
+			}
 			for _, after := range []int{0, 3} {
 				name := c.algo + "/" + string(c.site)
 				k := append([]uint32(nil), keys...)
 				v := append([]uint32(nil), vals...)
 				base := runtime.NumGoroutine()
 				fault.Enable(c.site, after)
-				err := algoByName(c.algo).run(context.Background(), k, v,
-					&SortOptions{Threads: c.threads, Regions: c.regions, CacheTuples: c.cache, Workspace: w})
+				err := algoByName(c.algo).run(context.Background(), k, v, opt)
 				fired := fault.Fired()
 				fault.Disable()
 				if fired {
@@ -205,6 +335,7 @@ func TestTryFaultMatrix(t *testing.T) {
 					if len(ie.Stack) == 0 {
 						t.Fatalf("%s ws=%v after=%d: no stack captured", name, withWS, after)
 					}
+					covered[c.site] = true
 				} else if after == 0 {
 					t.Fatalf("%s ws=%v: site never reached at after=0 (matrix is stale)", name, withWS)
 				} else if err != nil {
@@ -216,8 +347,20 @@ func TestTryFaultMatrix(t *testing.T) {
 					t.Fatalf("%s ws=%v after=%d fired=%v: keys/vals are not a permutation of the input",
 						name, withWS, after, fired)
 				}
+				if err := fault.CheckResources(); err != nil {
+					t.Fatalf("%s ws=%v after=%d: resource ledger not drained: %v", name, withWS, after, err)
+				}
+				if ents, err := os.ReadDir(spillDir); err != nil || len(ents) != 0 {
+					t.Fatalf("%s ws=%v after=%d: spill dir not cleaned: %d entries (%v)",
+						name, withWS, after, len(ents), err)
+				}
 				waitGoroutines(t, base)
 			}
+		}
+	}
+	for _, s := range fault.Sites() {
+		if !covered[s] {
+			t.Errorf("site %s has no matrix cell", s)
 		}
 	}
 }
@@ -292,7 +435,7 @@ func TestTryCancelRace(t *testing.T) {
 	// Prime the pool for a stable goroutine baseline.
 	copy(work, keys)
 	copy(workV, vals)
-	if err := TrySortLSB(work, workV, &SortOptions{Threads: 4, Workspace: w}); err != nil {
+	if err := SortCtx(context.Background(), LSB, work, workV, &SortOptions{Threads: 4, Workspace: w}); err != nil {
 		t.Fatal(err)
 	}
 	base := runtime.NumGoroutine()
@@ -333,13 +476,18 @@ func TestTryCancelPrompt(t *testing.T) {
 	n := 1 << 21
 	keys := gen.Uniform[uint32](n, 0, 11)
 	vals := RIDs[uint32](n)
+	origK := append([]uint32(nil), keys...)
+	origV := append([]uint32(nil), vals...)
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	err := TrySortLSBCtx(ctx, keys, vals, &SortOptions{Threads: 4})
+	err := SortCtx(ctx, LSB, keys, vals, &SortOptions{Threads: 4})
 	elapsed := time.Since(start)
 	if err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want nil or context.DeadlineExceeded", err)
+	}
+	if !SameMultiset(origK, origV, keys, vals) {
+		t.Fatalf("err = %v: keys/vals are not a permutation of the input", err)
 	}
 	if err == nil {
 		t.Skip("sort finished before the deadline; nothing to measure")
@@ -369,8 +517,8 @@ func TestTryPreCancelled(t *testing.T) {
 	}
 }
 
-// FuzzTryOptions is the satellite no-panic fuzzer: whatever the option
-// fields, lengths and context state, the Try entry points must return an
+// FuzzTryOptions is the no-panic fuzzer: whatever the option fields,
+// lengths and context state, SortCtx and TryPartitionCtx must return an
 // error or succeed — never panic — and a nil error means a sorted
 // permutation.
 func FuzzTryOptions(f *testing.F) {
@@ -413,12 +561,8 @@ func FuzzTryOptions(f *testing.F) {
 		}
 		var err error
 		switch algo % 4 {
-		case 0:
-			err = TrySortLSBCtx(ctx, keys, vals, opt)
-		case 1:
-			err = TrySortMSBCtx(ctx, keys, vals, opt)
-		case 2:
-			err = TrySortCmpCtx(ctx, keys, vals, opt)
+		case 0, 1, 2:
+			err = SortCtx(ctx, Algorithm(algo%4), keys, vals, opt)
 		case 3:
 			dstK := make([]uint32, nKeys)
 			dstV := make([]uint32, nVals)
@@ -440,4 +584,25 @@ func FuzzTryOptions(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestSortMSBWrapperZeroAlloc: the panicking wrapper adds nothing to the
+// SortCtx clean path — a warm-workspace SortMSB allocates nothing.
+func TestSortMSBWrapperZeroAlloc(t *testing.T) {
+	n := 1 << 12
+	w := NewWorkspace()
+	defer w.Close()
+	keys := gen.Uniform[uint64](n, 0, 43)
+	vals := RIDs[uint64](n)
+	work, workV := make([]uint64, n), make([]uint64, n)
+	opt := &SortOptions{Workspace: w}
+	run := func() {
+		copy(work, keys)
+		copy(workV, vals)
+		SortMSB(work, workV, opt)
+	}
+	run() // warm the arena
+	if a := testing.AllocsPerRun(20, run); a != 0 {
+		t.Fatalf("warm-workspace SortMSB allocates %v times per run", a)
+	}
 }

@@ -4,13 +4,12 @@ import (
 	"repro/internal/ws"
 )
 
-// Workspace is a reusable arena of sorting scratch — cache-line buffers,
-// histogram and offset tables, partition codes, the persistent worker pool
-// — for server-style workloads that sort repeatedly. Pass it via
-// SortOptions.Workspace (and use the WithScratch entry points or keep the
-// auxiliary arrays alive yourself) and repeated sorts of same-shaped inputs
-// make zero steady-state heap allocations; SortStats.WorkspaceHits/Misses
-// witness the reuse.
+// Workspace is a reusable arena of sorting scratch — the linear auxiliary
+// arrays, cache-line buffers, histogram and offset tables, partition
+// codes, the persistent worker pool — for server-style workloads that sort
+// repeatedly. Pass it via SortOptions.Workspace and repeated sorts of
+// same-shaped inputs make zero steady-state heap allocations;
+// SortStats.WorkspaceHits/Misses witness the reuse.
 //
 // A Workspace is safe for concurrent use; a nil *Workspace is valid and
 // means "allocate per call". It grows to the high-water scratch demand of
@@ -57,10 +56,10 @@ func (w *Workspace) AuxBytes() uint64 {
 }
 
 // SetMaxAuxBytes installs a standing auxiliary-memory budget on the
-// arena, returning the previous one: acquisitions that would push the
-// checked-out ledger past the budget panic inside the legacy entry
-// points and surface as *ResourceError from the Try entry points. A
-// SortOptions.MaxAuxBytes cap overrides it for the duration of one sort;
+// arena, returning the previous one: an acquisition that would push the
+// checked-out ledger past the budget fails the sort with *ResourceError
+// (returned by SortCtx, raised as the panic value by the Sort* wrappers).
+// A SortOptions.MaxAuxBytes cap overrides it for the duration of one sort;
 // zero removes the standing budget (the per-sort default still applies).
 func (w *Workspace) SetMaxAuxBytes(budget int64) int64 {
 	if w == nil {
