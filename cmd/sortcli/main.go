@@ -175,8 +175,8 @@ type jsonResult struct {
 	PhaseNs      map[string]int64     `json:"phase_ns"`
 	Counters     partsort.ObsCounters `json:"counters"`
 	// SpanHist is the live latency-histogram summary per span key
-	// ("cat/name"), aggregated by the metrics sink — what tracecheck
-	// reconciles against the trace file and the phase wall clocks.
+	// ("cat/name"), aggregated by the metrics sink; the root package's
+	// TestChromeTraceReconciles checks it against the trace.
 	SpanHist map[string]obs.SpanStat `json:"span_hist,omitempty"`
 	Verified *bool                   `json:"verified,omitempty"`
 }

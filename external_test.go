@@ -5,6 +5,8 @@ import (
 	"errors"
 	"math/rand"
 	"os"
+	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/fault"
@@ -24,16 +26,17 @@ func extTestOpt(t *testing.T) *SortOptions {
 
 // TestSortExternalForcedSpill sorts an input four times the configured
 // memory budget through the spill path and checks the full contract:
-// sorted, a permutation of the input, spill stats populated, temp dir
-// clean.
+// sorted, every value still attached to its key, spill stats populated,
+// exactly one streaming formation pass, temp dir clean — and a second
+// spill leaves the fd table and goroutine count at the first one's
+// baseline.
 func TestSortExternalForcedSpill(t *testing.T) {
 	n := 1 << 16 // 1 MiB of pairs
 	opt := extTestOpt(t)
 	opt.MaxAuxBytes = 256 << 10 // input is 4x this budget
-	keys := gen.Uniform[uint64](n, 0, 1)
+	ref := gen.Uniform[uint64](n, 0, 1)
+	keys := append([]uint64(nil), ref...)
 	vals := RIDs[uint64](n)
-	sumK := append([]uint64(nil), keys...)
-	sumV := append([]uint64(nil), vals...)
 
 	st, err := SortExternal(keys, vals, opt)
 	if err != nil {
@@ -42,19 +45,48 @@ func TestSortExternalForcedSpill(t *testing.T) {
 	if !st.Spilled {
 		t.Fatalf("expected spill at n=%d, budget=%d: %+v", n, opt.MaxAuxBytes, st)
 	}
-	if !IsSorted(keys) {
-		t.Fatal("output not sorted")
-	}
-	if !SameMultiset(keys, vals, sumK, sumV) {
-		t.Fatal("output not a permutation of the input")
-	}
+	checkSortedPermutation(t, keys, vals, ref)
 	if st.SpillBytes == 0 || st.ReadBytes == 0 || st.RunsWritten == 0 {
 		t.Fatalf("spill stats empty: %+v", st)
 	}
-	ents, _ := os.ReadDir(opt.TempDir)
-	if len(ents) != 0 {
-		t.Fatalf("temp files leaked: %v", ents)
+	if want := int64(n) * 16; st.FormationBytes != want {
+		t.Fatalf("formation wrote %d bytes, want one streaming pass of %d", st.FormationBytes, want)
 	}
+	checkSpillDirEmpty(t, opt.TempDir)
+
+	// The fd baseline follows the first spill: the runtime's netpoller
+	// descriptors are created on the first file I/O and stay open.
+	baseFDs, base := openFDs(), runtime.NumGoroutine()
+	copy(keys, ref)
+	copy(vals, RIDs[uint64](n))
+	if _, err := SortExternal(keys, vals, opt); err != nil {
+		t.Fatalf("second SortExternal: %v", err)
+	}
+	checkSortedPermutation(t, keys, vals, ref)
+	checkSpillDirEmpty(t, opt.TempDir)
+	if fds := openFDs(); fds > baseFDs {
+		t.Fatalf("fd leak: %d open, baseline %d", fds, baseFDs)
+	}
+	waitGoroutines(t, base)
+}
+
+// checkSpillDirEmpty fails unless dir has no entries left.
+func checkSpillDirEmpty(t *testing.T, dir string) {
+	t.Helper()
+	if ents, err := os.ReadDir(dir); err != nil || len(ents) != 0 {
+		t.Fatalf("spill dir not cleaned: %d entries (%v)", len(ents), err)
+	}
+}
+
+// openFDs counts the process's open file descriptors via procfs. Without
+// /proc/self/fd it returns -1 every time, so baseline checks pass
+// vacuously.
+func openFDs() int {
+	ents, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		return -1
+	}
+	return len(ents)
 }
 
 // TestSortExternalInMemory checks that small inputs under a roomy budget
@@ -74,14 +106,33 @@ func TestSortExternalInMemory(t *testing.T) {
 	if !IsSorted(keys) {
 		t.Fatal("output not sorted")
 	}
-	ents, _ := os.ReadDir(opt.TempDir)
-	if len(ents) != 0 {
-		t.Fatalf("in-memory path touched the temp dir: %v", ents)
-	}
+	checkSpillDirEmpty(t, opt.TempDir)
 }
 
-// TestSortExternalCancel checks cooperative cancellation: ctx.Err() comes
-// back, the input is a permutation, and no temp files remain.
+// midRunCancel is a context that is already cancelled but whose first
+// Err call reports nil: the entry check lets the run start, and the
+// cancellation surfaces at the first in-run checkpoint that polls Done.
+// spilling records whether the spill files existed by then.
+type midRunCancel struct {
+	context.Context
+	dir      string
+	calls    atomic.Int32
+	spilling atomic.Bool
+}
+
+func (c *midRunCancel) Err() error {
+	if c.calls.Add(1) == 1 {
+		return nil
+	}
+	if ents, err := os.ReadDir(c.dir); err == nil && len(ents) > 0 {
+		c.spilling.Store(true)
+	}
+	return c.Context.Err()
+}
+
+// TestSortExternalCancel checks cooperative cancellation from inside a
+// spill: ctx.Err() comes back, the input is a permutation, and no temp
+// files remain.
 func TestSortExternalCancel(t *testing.T) {
 	n := 1 << 15
 	opt := extTestOpt(t)
@@ -89,19 +140,20 @@ func TestSortExternalCancel(t *testing.T) {
 	vals := RIDs[uint64](n)
 	sumK := append([]uint64(nil), keys...)
 	sumV := append([]uint64(nil), vals...)
-	ctx, cancel := context.WithCancel(context.Background())
+	done, cancel := context.WithCancel(context.Background())
 	cancel()
+	ctx := &midRunCancel{Context: done, dir: opt.TempDir}
 	_, err := SortExternalCtx(ctx, keys, vals, opt)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
+	if !ctx.spilling.Load() {
+		t.Fatal("cancellation did not surface inside the spill")
+	}
 	if !SameMultiset(keys, vals, sumK, sumV) {
 		t.Fatal("input not a permutation after cancellation")
 	}
-	ents, _ := os.ReadDir(opt.TempDir)
-	if len(ents) != 0 {
-		t.Fatalf("temp files leaked on cancel: %v", ents)
-	}
+	checkSpillDirEmpty(t, opt.TempDir)
 }
 
 // TestSortExternalArgErrors checks the validation surface.
@@ -143,15 +195,14 @@ func TestSortExternalSpillBudget(t *testing.T) {
 	if !SameMultiset(keys, vals, sumK, sumV) {
 		t.Fatal("input changed on budget refusal")
 	}
-	ents, _ := os.ReadDir(opt.TempDir)
-	if len(ents) != 0 {
-		t.Fatalf("temp files leaked: %v", ents)
-	}
+	checkSpillDirEmpty(t, opt.TempDir)
 }
 
-// TestSortExternalFaultInjection checks that injected spill faults
-// surface as *InternalError wrapping fault.Injected, with the resource
-// ledger drained.
+// TestSortExternalFaultInjection checks that injected faults in both
+// extsort sites surface as *InternalError wrapping fault.Injected, with
+// the input a permutation, the resource ledger drained, no temp files,
+// and the fd table and goroutine count back at the baseline a clean
+// spill settled.
 func TestSortExternalFaultInjection(t *testing.T) {
 	n := 1 << 15
 	opt := extTestOpt(t)
@@ -159,25 +210,36 @@ func TestSortExternalFaultInjection(t *testing.T) {
 	vals := RIDs[uint64](n)
 	sumK := append([]uint64(nil), keys...)
 	sumV := append([]uint64(nil), vals...)
-	fault.Enable(fault.SiteExtSpill, 10)
+	if _, err := SortExternal(keys, vals, opt); err != nil {
+		t.Fatalf("clean spill: %v", err)
+	}
+	baseFDs, base := openFDs(), runtime.NumGoroutine()
 	defer fault.Disable()
-	_, err := SortExternal(keys, vals, opt)
-	var ie *InternalError
-	if !errors.As(err, &ie) {
-		t.Fatalf("err = %v, want *InternalError", err)
-	}
-	if !errors.Is(err, fault.Injected{Site: fault.SiteExtSpill}) {
-		t.Fatalf("err does not wrap the injected site: %v", err)
-	}
-	if !SameMultiset(keys, vals, sumK, sumV) {
-		t.Fatal("input not a permutation after containment")
-	}
-	if err := fault.CheckResources(); err != nil {
-		t.Fatalf("resource ledger: %v", err)
-	}
-	ents, _ := os.ReadDir(opt.TempDir)
-	if len(ents) != 0 {
-		t.Fatalf("temp files leaked: %v", ents)
+	for _, c := range []struct {
+		site  fault.Site
+		after int
+	}{{fault.SiteExtSpill, 10}, {fault.SiteExtMerge, 0}} {
+		fault.Enable(c.site, c.after)
+		_, err := SortExternal(keys, vals, opt)
+		fault.Disable()
+		var ie *InternalError
+		if !errors.As(err, &ie) {
+			t.Fatalf("%s: err = %v, want *InternalError", c.site, err)
+		}
+		if !errors.Is(err, fault.Injected{Site: c.site}) {
+			t.Fatalf("%s: err does not wrap the injected site: %v", c.site, err)
+		}
+		if !SameMultiset(keys, vals, sumK, sumV) {
+			t.Fatalf("%s: input not a permutation after containment", c.site)
+		}
+		if err := fault.CheckResources(); err != nil {
+			t.Fatalf("%s: resource ledger: %v", c.site, err)
+		}
+		checkSpillDirEmpty(t, opt.TempDir)
+		if fds := openFDs(); fds > baseFDs {
+			t.Fatalf("%s: fd leak: %d open, baseline %d", c.site, fds, baseFDs)
+		}
+		waitGoroutines(t, base)
 	}
 }
 

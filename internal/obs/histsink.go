@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -126,8 +125,8 @@ func spanFamily(k spanKey) (name string, labels []Label, withTuples bool) {
 
 // SpanStat is the compact per-(category, name) summary of an aggregated
 // span family: sample count, duration total, and quantile estimates —
-// the machine-readable form sortcli emits and tracecheck reconciles
-// against the trace file.
+// the machine-readable form sortcli emits and TestChromeTraceReconciles
+// reconciles against the trace.
 type SpanStat struct {
 	Count uint64 `json:"count"`
 	SumNs uint64 `json:"sum_ns"`
@@ -156,16 +155,4 @@ func (s *MetricsSink) Summary() map[string]SpanStat {
 		}
 	}
 	return out
-}
-
-// SummaryKeys returns the sorted keys of Summary (stable iteration for
-// text output).
-func (s *MetricsSink) SummaryKeys() []string {
-	sum := s.Summary()
-	keys := make([]string, 0, len(sum))
-	for k := range sum {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

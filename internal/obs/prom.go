@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"io"
 	"strconv"
+	"strings"
 )
 
 // Prometheus text-format exposition (version 0.0.4) of a Registry. The
@@ -12,9 +13,8 @@ import (
 
 // WritePrometheus renders every family of the registry in the Prometheus
 // text format. Histograms are rendered with cumulative log-linear
-// buckets in seconds (recorded nanoseconds scaled by 1e-9), eliding
-// empty buckets (a scraper sees a valid, quantile-derivable subset of
-// the fixed boundaries plus +Inf).
+// buckets, eliding empty ones: in seconds for *_seconds families
+// (recorded nanoseconds scaled by 1e-9), in raw counts for the rest.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	for _, f := range r.families() {
@@ -36,6 +36,10 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 // writePromHistogram renders one histogram series: cumulative *_bucket
 // lines for every non-empty bucket plus +Inf, then *_sum and *_count.
 func writePromHistogram(bw *bufio.Writer, name string, s *series) {
+	format := func(v uint64) string { return strconv.FormatUint(v, 10) }
+	if strings.HasSuffix(name, "_seconds") {
+		format = func(ns uint64) string { return formatFloat(float64(ns) * 1e-9) }
+	}
 	snap := s.h.Snapshot()
 	var cum uint64
 	for i, c := range snap.Buckets {
@@ -43,13 +47,12 @@ func writePromHistogram(bw *bufio.Writer, name string, s *series) {
 			continue
 		}
 		cum += c
-		le := formatFloat(float64(BucketUpper(i)) * 1e-9)
-		bw.WriteString(name + "_bucket" + labelsWithLe(s.key, le) + " " +
+		bw.WriteString(name + "_bucket" + labelsWithLe(s.key, format(BucketUpper(i))) + " " +
 			strconv.FormatUint(cum, 10) + "\n")
 	}
 	bw.WriteString(name + "_bucket" + labelsWithLe(s.key, "+Inf") + " " +
 		strconv.FormatUint(snap.Count, 10) + "\n")
-	bw.WriteString(name + "_sum" + s.key + " " + formatFloat(float64(snap.Sum)*1e-9) + "\n")
+	bw.WriteString(name + "_sum" + s.key + " " + format(snap.Sum) + "\n")
 	bw.WriteString(name + "_count" + s.key + " " + strconv.FormatUint(snap.Count, 10) + "\n")
 }
 

@@ -90,7 +90,7 @@ func newMetrics(reg *obs.Registry) *metrics {
 	m.requestDur = reg.Histogram(serverPrefix+"request_seconds",
 		"Admission-to-completion latency per request.")
 	m.batchSize = reg.Histogram(serverPrefix+"batch_requests",
-		"Requests coalesced per merged batch (a count, exposed through the ns-scaled bucket bounds).")
+		"Requests coalesced per merged batch.")
 	for i, algo := range []partsort.Algorithm{partsort.LSB, partsort.MSB, partsort.CMP} {
 		m.sortDurs[i] = reg.Histogram(serverPrefix+"sort_seconds",
 			"Sort execution time by algorithm (merged batches record under LSB).",

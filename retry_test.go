@@ -3,7 +3,9 @@ package partsort
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -197,6 +199,29 @@ func TestResilientDegradeOnResourceError(t *testing.T) {
 	if !errors.As(err, &re) {
 		t.Fatalf("NoFallback err = %v (%T), want *ResourceError", err, err)
 	}
+
+	// Pressure lane: a budget of n bytes, orders of magnitude below the
+	// 16n of tmp columns. One unsupervised attempt reports the budget it
+	// hit; the supervised run degrades to an in-place stage-2 success.
+	tiny := int64(n)
+	keys3 := append([]uint64(nil), ref...)
+	vals3 := RIDs[uint64](n)
+	err = SortCtx(context.Background(), LSB, keys3, vals3, &SortOptions{Threads: 4, MaxAuxBytes: tiny})
+	if !errors.As(err, &re) {
+		t.Fatalf("unsupervised err = %v (%T), want *ResourceError", err, err)
+	}
+	if re.Budget != tiny {
+		t.Fatalf("ResourceError.Budget = %d, want %d", re.Budget, tiny)
+	}
+	st = RetryStats{}
+	err = SortCtx(context.Background(), LSB, keys3, vals3, &SortOptions{Threads: 4, MaxAuxBytes: tiny, Retry: pol})
+	if err != nil {
+		t.Fatalf("supervised sort at %d bytes failed: %v", tiny, err)
+	}
+	if !st.Degraded || st.Stage != 2 {
+		t.Fatalf("stats at %d bytes = %+v, want degraded to stage 2", tiny, st)
+	}
+	checkSortedPermutation(t, keys3, vals3, ref)
 }
 
 // TestResilientNoFallback pins the confinement contract: a persistent
@@ -313,6 +338,155 @@ func TestResilientAllAlgorithms(t *testing.T) {
 			waitGoroutines(t, base)
 		})
 	}
+}
+
+// sitesFor returns the injection sites a chaos lane's sorts (including
+// the supervisor's MSB fallback stage) can reach, so schedules arm sites
+// that actually fire.
+func sitesFor(algo Algorithm) []fault.Site {
+	switch algo {
+	case LSB:
+		return []fault.Site{fault.SiteLSBPass, fault.SiteWorkerStart, fault.SiteMSBRecurse}
+	case MSB:
+		return []fault.Site{fault.SiteMSBRecurse, fault.SiteWorkerStart, fault.SiteBlockPermute}
+	default:
+		return []fault.Site{fault.SiteCMPPass, fault.SiteWorkerStart, fault.SiteMSBRecurse}
+	}
+}
+
+// scheduleFor builds the i-th chaos schedule of a lane: the fire
+// probability and per-site budget cycle through mild, aggressive and
+// certain-death configurations so the sweep exercises clean successes,
+// retried successes, fallback-chain degradations and classified failures.
+func scheduleFor(seed uint64, algo Algorithm, i int) *fault.Schedule {
+	probs := []float64{0.02, 0.2, 1.0}
+	cfg := map[fault.Site]fault.SiteConfig{}
+	for _, s := range sitesFor(algo) {
+		cfg[s] = fault.SiteConfig{
+			Prob:   probs[i%len(probs)],
+			Budget: 1 + i%4, // bounded chaos: the supervisor can outlast it
+		}
+	}
+	if i%7 == 6 {
+		// Every seventh schedule is unbounded certain death on one site:
+		// the supervised run must fail cleanly, not hang or crash.
+		cfg[sitesFor(algo)[0]] = fault.SiteConfig{Prob: 1}
+	}
+	return fault.NewSchedule(seed, cfg)
+}
+
+// TestResilientChaosMatrix drives seeded chaos schedules against the
+// supervisor over {LSB, MSB, CMP} × {workspace, none}: 240 schedules (24
+// under -short). Every run must end in a supervised success (sorted) or a
+// cleanly classified *InternalError/*ResourceError, leave the columns a
+// permutation of the input, leak no goroutines and no workspace bytes,
+// and log only events the schedule's pure decision function agrees with.
+// Single-threaded runs (every even schedule) replay from the same seed
+// and must produce a byte-identical event log.
+func TestResilientChaosMatrix(t *testing.T) {
+	defer fault.Disable()
+	schedules := 240
+	if testing.Short() {
+		schedules = 24
+	}
+	const n, threads = 1 << 15, 4
+	algos := []Algorithm{LSB, MSB, CMP}
+	perLane := schedules / (2 * len(algos))
+	if total := 2 * len(algos) * perLane; !testing.Short() && total < 200 {
+		t.Fatalf("only %d schedules; the full sweep needs at least 200", total)
+	}
+	ref := gen.Uniform[uint64](n, 0, 97)
+	rids := RIDs[uint64](n)
+	keys := make([]uint64, n)
+	vals := make([]uint64, n)
+
+	var clean, retried, failed int
+	lane := 0
+	for _, algo := range algos {
+		for _, withWS := range []bool{false, true} {
+			var w *Workspace
+			if withWS {
+				w = NewWorkspace()
+				defer w.Close()
+				// Prime the pool so parked workers join the goroutine baseline.
+				copy(keys, ref)
+				copy(vals, rids)
+				if err := SortCtx(context.Background(), LSB, keys, vals, &SortOptions{Threads: threads, Workspace: w}); err != nil {
+					t.Fatalf("%v: workspace warm-up: %v", algo, err)
+				}
+			}
+			run := func(name string, seed uint64, i, thr int) []fault.Event {
+				defer func() {
+					if t.Failed() {
+						t.Logf("failing run: %s", name) // replays it from its seed
+					}
+				}()
+				copy(keys, ref)
+				copy(vals, rids)
+				base := runtime.NumGoroutine()
+				sched := scheduleFor(seed, algo, i)
+				fault.Arm(sched)
+				var st RetryStats
+				pol := &RetryPolicy{
+					InitialBackoff: 50 * time.Microsecond,
+					MaxBackoff:     200 * time.Microsecond,
+					JitterSeed:     seed,
+					Stats:          &st,
+				}
+				err := SortCtx(context.Background(), algo, keys, vals, &SortOptions{Threads: thr, Workspace: w, Retry: pol})
+				fault.Disable()
+				switch {
+				case err == nil && st.Attempts == 1:
+					clean++
+				case err == nil:
+					retried++
+				default:
+					var ie *InternalError
+					var re *ResourceError
+					if !errors.As(err, &ie) && !errors.As(err, &re) {
+						t.Fatalf("unclassified error %v (%T)", err, err)
+					}
+					failed++
+				}
+				if err == nil {
+					checkSortedPermutation(t, keys, vals, ref)
+				} else if !SameMultiset(ref, rids, keys, vals) {
+					t.Fatalf("keys/vals are not a permutation of the input (err=%v)", err)
+				}
+				waitGoroutines(t, base)
+				if w != nil {
+					if b := w.AuxBytes(); b != 0 {
+						t.Fatalf("%d workspace bytes leaked after the run", b)
+					}
+				}
+				log := sched.Events()
+				for _, ev := range log {
+					if !sched.WouldFire(ev.Site, ev.Hit) {
+						t.Fatalf("logged event %+v contradicts the decision function", ev)
+					}
+				}
+				return log
+			}
+			for i := 0; i < perLane; i++ {
+				seed := 1 + uint64(lane)*1_000_003 + uint64(i)
+				thr := threads
+				if i%2 == 0 {
+					thr = 1
+				}
+				name := fmt.Sprintf("%v ws=%v seed=%d threads=%d", algo, withWS, seed, thr)
+				log := run(name, seed, i, thr)
+				if thr == 1 {
+					if replay := run(name+" (replay)", seed, i, thr); !slices.Equal(log, replay) {
+						t.Fatalf("%s: replay diverged: %d events %v, first run %d events %v",
+							name, len(replay), replay, len(log), log)
+					}
+				}
+			}
+			lane++
+		}
+	}
+	t.Logf("%d schedules, %d runs with replays: %d clean, %d retried into success, %d cleanly failed",
+		2*len(algos)*perLane, clean+retried+failed, clean, retried, failed)
 }
 
 // TestResilientZeroAllocCleanPath: a clean first-try supervised sort

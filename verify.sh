@@ -36,24 +36,17 @@ rm -f "$benchout"
 # gate instead of passing silently.
 go run ./cmd/benchdiff -require-all BENCH_PR9.json BENCH_PR10.json
 
-# Observability smoke: spans + counters must produce a valid Chrome trace
-# whose LSB counters reconcile (tuples_partitioned == passes * n), with at
-# least one span per pass and per worker — and degenerate inputs must
-# still close to valid JSON.
+# Observability smoke: the sortcli -trace/-json flags must run end to end.
+# Trace shape, the LSB counter invariant (tuples_partitioned == passes *
+# n), span_hist reconciliation and the empty trace are checked by
+# TestChromeTraceReconciles; the live /metrics scrape (exposition syntax,
+# required families, histogram invariants, expvar, labelled profiles, no
+# leak on shutdown) by TestServeMetricsLive — both in go test above.
 obsdir=$(mktemp -d)
 trap 'rm -rf "$obsdir"' EXIT
-go run ./cmd/sortcli -n 200000 -algo lsb -threads 4 -trace "$obsdir/t.json" -json > "$obsdir/stats.json"
-go run ./cmd/tracecheck -require-pass -workers 4 -stats "$obsdir/stats.json" -check-hist "$obsdir/t.json"
-go run ./cmd/sortcli -n 0 -algo lsb -trace "$obsdir/empty.json" -json > /dev/null
-go run ./cmd/tracecheck "$obsdir/empty.json"
+go run ./cmd/sortcli -n 200000 -algo lsb -threads 4 -trace "$obsdir/t.json" -json > /dev/null
 go run ./cmd/partcli -n 100000 -variant sync -threads 4 -stats > /dev/null
 go test -run xxx -bench ObsOverhead -benchtime 0.2s ./internal/part/ > /dev/null
-
-# Live telemetry: the metrics endpoint scraped mid-sort must serve valid
-# Prometheus text with every expected family, consistent histograms, a
-# JSON expvar view, pprof profiles labeled by algo/phase/worker, and
-# zero-allocation record paths; shutdown must leak no goroutines.
-go run ./cmd/metricscheck -n 500000
 
 # Hardened execution: the fault-injection matrix (TestTryFaultMatrix:
 # every fault.Sites() entry x every sort that reaches it, external sort
@@ -64,26 +57,25 @@ go run ./cmd/metricscheck -n 500000
 # above).
 go test -race -short -count=1 -run 'TestTryFaultMatrix|TestTryCancelRace|TestTryPartitionFault' .
 
-# External sort: a forced spill several times the memory budget must
-# produce a sorted permutation with exactly one streaming formation pass,
-# an empty temp dir, no fd/goroutine leaks, and contained extsort faults
-# (extsortcheck); the merge pipeline's prefetch effectiveness must keep
-# the majority of block handoffs ready-before-needed (overlap >= 0.5 —
-# the block-level measure is scheduling-independent, so it gates even on
-# a single-core host where wall-clock overlap cannot exist).
-go run ./cmd/extsortcheck -n 200000
+# External sort: forced spill, value attachment, one streaming formation
+# pass, in-run cancellation, both extsort fault sites and fd/goroutine
+# baselines are TestSortExternal* in go test above. The merge pipeline's
+# prefetch effectiveness must keep the majority of block handoffs
+# ready-before-needed (overlap >= 0.5 — the block-level measure is
+# scheduling-independent, so it gates even on a single-core host where
+# wall-clock overlap cannot exist).
 go run ./cmd/benchjson -bench 'ExternalMerge' -benchtime 2x \
     -require-extra 'overlap>=0.5' -out /dev/null
 
-# Resilient execution: the seeded chaos matrix ({LSB, MSB, CMP} x
-# {workspace, none}, fixed seed) must end every supervised run in a
-# retried success or a cleanly classified typed error — permutation
-# intact, no goroutine leaks, no workspace-byte creep — with
-# single-threaded lanes replaying byte-identical event logs and the
-# pressure lane proving ResourceError -> in-place degradation. The
-# supervisor's clean first-try path must stay allocation-free, and a
-# short -race chaos run guards the schedule's concurrent budget claims.
-go run ./cmd/chaoscheck -schedules 240 -seed 1
+# Resilient execution: the seeded chaos matrix (TestResilientChaosMatrix:
+# {LSB, MSB, CMP} x {workspace, none}, 240 schedules in go test above)
+# must end every supervised run in a retried success or a cleanly
+# classified typed error — permutation intact, no goroutine leaks, no
+# workspace-byte creep — with single-threaded runs replaying
+# byte-identical event logs; TestResilientDegradeOnResourceError is the
+# memory-pressure lane. The supervisor's clean first-try path must stay
+# allocation-free, and the -short chaos matrix runs here under -race to
+# guard the schedule's concurrent budget claims.
 go test -race -short -count=1 -run 'TestResilient|TestScheduleConcurrentBudget|TestStress' . ./internal/fault/
 
 # Auto-tuning: quick calibration must produce a valid, reloadable profile
