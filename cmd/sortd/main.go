@@ -4,10 +4,11 @@
 // length-prefixed raw-TCP API on -tcp-addr, and the live telemetry
 // endpoint (Prometheus /metrics, expvar, pprof) on -metrics-addr.
 // Requests pass admission control (queue depth, the auxiliary-memory
-// ledger, optional per-tenant caps), small key-only requests coalesce
-// into merged batched runs, and every sort executes through SortCtx
-// under the retry/fallback supervisor on pooled per-size-class
-// workspace arenas. With -spill-dir set, requests too large for the
+// ledger, optional per-tenant caps), small key-only requests that queue
+// behind busy executors coalesce from the backlog into merged batched
+// runs (an idle executor never waits for companions), and every sort
+// executes through SortCtx under the retry/fallback supervisor on pooled
+// per-size-class workspace arenas. With -spill-dir set, requests too large for the
 // memory ledger degrade onto the external disk-spilling sort (bounded by
 // the -max-spill-bytes disk ledger) instead of being rejected; without
 // it they answer 413 with a structured reason.
@@ -62,7 +63,6 @@ func run() int {
 		spillSegment = flag.Int("spill-segment", 0, "external-sort segment tuples override (0: planned)")
 		tenantCap    = flag.Int("tenant-cap", 0, "per-tenant admitted-request cap (0: uncapped)")
 		batchMax     = flag.Int("batch-max", 4096, "coalesce key-only requests up to this many keys (negative: disable)")
-		batchWindow  = flag.Duration("batch-window", 2*time.Millisecond, "coalescing window")
 		autotune     = flag.Bool("autotune", false, "engage the machine-calibrated planner per sort")
 		profilePath  = flag.String("profile", "", "machine profile JSON to load (see tunecli; empty: lazy quick calibration)")
 		drainTimeout = flag.Duration("drain-timeout", 10*time.Second, "graceful drain budget before force-cancelling running sorts")
@@ -80,6 +80,11 @@ func run() int {
 		}
 		fmt.Fprintln(os.Stderr, "sortd: machine profile loaded from", *profilePath)
 	}
+
+	// Catch the drain signals before any listener is up: a SIGTERM that
+	// arrives once the API answers must drain, not kill the process.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)
 
 	// The obs session feeds the Section 3.2 event counters and the
 	// per-(algo, phase) latency histograms the metrics endpoint serves.
@@ -109,7 +114,6 @@ func run() int {
 		SpillSegmentTuples: *spillSegment,
 		MaxPerTenant:       *tenantCap,
 		BatchMaxTuples:     *batchMax,
-		BatchWindow:        *batchWindow,
 		AutoTune:           *autotune,
 	})
 
@@ -135,8 +139,6 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "sortd: serving TCP API on %s\n", tcpLis.Addr())
 	}
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)
 	select {
 	case got := <-sig:
 		fmt.Fprintf(os.Stderr, "sortd: %s: draining (budget %s)\n", got, *drainTimeout)

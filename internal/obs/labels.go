@@ -28,10 +28,13 @@ var labelsOn atomic.Bool
 // scope, read by pool workers at task start.
 var curLabels atomic.Pointer[labelCtx]
 
-// labelCtx wraps the pprof-labeled context of one driver scope.
+// labelCtx wraps the pprof-labeled context of one driver scope. It
+// holds no link to the enclosing scope: under concurrent sorts the
+// pushes and restores of different goroutines interleave, and a chain
+// of enclosing scopes would keep growing through the stale scopes those
+// restores republish.
 type labelCtx struct {
-	ctx  context.Context
-	prev *labelCtx
+	ctx context.Context
 }
 
 // EnableProfileLabels turns profile-label propagation on or off
@@ -52,12 +55,12 @@ func PushLabels(algo, phase string) func() {
 	}
 	ctx := pprof.WithLabels(context.Background(), pprof.Labels("algo", algo, "phase", phase))
 	pprof.SetGoroutineLabels(ctx)
-	lc := &labelCtx{ctx: ctx, prev: curLabels.Load()}
-	curLabels.Store(lc)
+	prev := curLabels.Load()
+	curLabels.Store(&labelCtx{ctx: ctx})
 	return func() {
-		if lc.prev != nil {
-			curLabels.Store(lc.prev)
-			pprof.SetGoroutineLabels(lc.prev.ctx)
+		if prev != nil {
+			curLabels.Store(prev)
+			pprof.SetGoroutineLabels(prev.ctx)
 			return
 		}
 		curLabels.Store(nil)

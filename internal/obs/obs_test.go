@@ -2,7 +2,10 @@ package obs
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"runtime"
+	"runtime/pprof"
 	"strings"
 	"sync"
 	"testing"
@@ -221,5 +224,40 @@ func BenchmarkDisabledHook(b *testing.B) {
 		if o := Cur(); o != nil {
 			o.Counters.TuplesPartitioned.Add(1)
 		}
+	}
+}
+
+// TestPushLabelsInterleavedScopesRetainNothing replays, on one
+// goroutine, the order two concurrent sorts' label scopes take (A
+// pushes, B pushes, A restores, B restores) and checks that the live
+// heap stays flat: a restore may republish a finished scope, but no
+// scope may keep its predecessors alive.
+func TestPushLabelsInterleavedScopesRetainNothing(t *testing.T) {
+	was := ProfileLabelsEnabled()
+	EnableProfileLabels(true)
+	defer func() {
+		EnableProfileLabels(was)
+		curLabels.Store(nil)
+		pprof.SetGoroutineLabels(context.Background())
+	}()
+	interleave := func(n int) {
+		for i := 0; i < n; i++ {
+			restoreA := PushLabels("lsb", "run")
+			restoreB := PushLabels("msb", "run")
+			restoreA()
+			restoreB()
+		}
+	}
+	live := func() uint64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	interleave(100)
+	before := live()
+	interleave(20000)
+	if after := live(); after > before+256<<10 {
+		t.Fatalf("20000 interleaved label scopes grew the live heap by %d bytes", after-before)
 	}
 }

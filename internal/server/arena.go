@@ -4,7 +4,9 @@
 // request never inherits a 2^26-sized arena's memory) while the PR 7
 // in-place dispatch keeps each arena's peak footprint at
 // O(threads x fanout x block) rather than O(n) — the property that makes
-// dense multi-tenant sharing viable at all. Arenas hold no tenant state;
+// dense multi-tenant sharing viable at all. The one O(n) buffer an arena
+// keeps is the payload column key-only sorts lease from it, sized by the
+// largest key-only request of its class. Arenas hold no tenant state;
 // isolation is accounting (tenant table + admission ledger), not copies.
 
 package server
@@ -16,10 +18,13 @@ import (
 	partsort "repro"
 )
 
-// arena is one pooled workspace with its size class.
+// arena is one pooled workspace with its size class, plus the payload
+// columns key-only sorts lease for the length of a checkout.
 type arena struct {
-	w     *partsort.Workspace
-	class int
+	w      *partsort.Workspace
+	class  int
+	vals64 []uint64
+	vals32 []uint32
 }
 
 // pub returns the workspace to hand to SortOptions (nil-safe).
@@ -28,6 +33,32 @@ func (a *arena) pub() *partsort.Workspace {
 		return nil
 	}
 	return a.w
+}
+
+// payload64 returns an n-element scratch payload column with arbitrary
+// contents, owned by whoever has the arena checked out (fresh when a is
+// nil).
+func (a *arena) payload64(n int) []uint64 {
+	if a == nil {
+		return make([]uint64, n)
+	}
+	return lease(&a.vals64, n)
+}
+
+// payload32 is payload64 for 32-bit keys.
+func (a *arena) payload32(n int) []uint32 {
+	if a == nil {
+		return make([]uint32, n)
+	}
+	return lease(&a.vals32, n)
+}
+
+// lease returns (*col)[:n], first growing *col when it is too short.
+func lease[K partsort.Key](col *[]K, n int) []K {
+	if cap(*col) < n {
+		*col = make([]K, n)
+	}
+	return (*col)[:n]
 }
 
 // arenaPool pools workspaces by size class. Acquire never blocks: when a

@@ -1,10 +1,15 @@
-// Small-request coalescing. Key-only requests at or below
-// Config.BatchMaxTuples are held for up to BatchWindow and merged —
-// across tenants — into one run per key width: the merged key column is
-// sorted once with the request index as the payload, and each request's
-// sorted keys are scattered back from the merged output (any permutation
-// sort keeps every request's subsequence in nondecreasing order, so the
-// split is exact). One queue slot, one workspace acquisition, and one
+// Small-request coalescing, from the backlog. A key-only request with
+// at most Config.BatchMaxTuples keys enters the priority queue like any
+// other job; when an executor pops one, it also takes every other queued
+// small job of the same key width — across tenants, in (priority,
+// admission) order, up to BatchMaxRequests requests or BatchMaxTotal
+// merged keys — into one batch container. An idle executor therefore
+// never waits for companions: batches form only from work that is
+// already waiting because every executor was busy. The merged key column
+// is sorted once with the request index as the payload, and each
+// request's sorted keys are scattered back from the merged output (any
+// permutation sort keeps every request's subsequence in nondecreasing
+// order, so the split is exact). One workspace acquisition and one
 // supervisor run are amortized over the whole batch — the point of
 // batching on a daemon whose per-sort cost for 4K-tuple requests is
 // dominated by dispatch, not sorting.
@@ -12,110 +17,43 @@
 package server
 
 import (
+	"container/heap"
 	"context"
-	"sync"
 	"time"
 
 	partsort "repro"
 )
 
-// pendingBatch accumulates one width's coalescing batch.
-type pendingBatch struct {
-	subs  []*job
-	total int
-	prio  int
-	enq   time.Time
-}
-
-// batcher is the coalescing stage between admission and the queue.
-// All state transitions happen under one mutex; the flush timer is a
-// time.AfterFunc whose callback re-acquires it.
-type batcher struct {
-	s       *Server
-	mu      sync.Mutex
-	pend    map[int]*pendingBatch // by key width
-	timer   *time.Timer
-	stopped bool
-}
-
-// newBatcher returns an idle batcher for s.
-func newBatcher(s *Server) *batcher {
-	return &batcher{s: s, pend: make(map[int]*pendingBatch)}
-}
-
-// add routes one admitted small request into its width's batch, flushing
-// when the request-count or merged-tuple cap is reached. After stop
-// (drain), jobs pass straight through to the queue.
-func (b *batcher) add(j *job) {
-	b.mu.Lock()
-	if b.stopped {
-		b.mu.Unlock()
-		b.s.q.push(j)
-		return
+// coalesce gathers the queued small jobs of first's width into one batch
+// container with first, taking them in heap order until the request or
+// merged-key cap is reached. Jobs it passes over go back into the heap.
+// With no companion it returns first itself. Called with q.mu held.
+func (q *queue) coalesce(first *job) *job {
+	var subs, skipped []*job
+	total := first.n
+	for len(q.jobs) > 0 && len(subs)+1 < q.batchRequests && total < q.batchTotal {
+		j := heap.Pop(&q.jobs).(*job)
+		if !j.small || j.width != first.width {
+			skipped = append(skipped, j)
+			continue
+		}
+		subs = append(subs, j)
+		total += j.n
 	}
-	pb := b.pend[j.width]
-	if pb == nil {
-		pb = &pendingBatch{prio: j.prio, enq: j.enq}
-		b.pend[j.width] = pb
+	for _, j := range skipped {
+		heap.Push(&q.jobs, j)
 	}
-	pb.subs = append(pb.subs, j)
-	pb.total += j.n
-	if j.prio < pb.prio {
-		pb.prio = j.prio
+	if subs == nil {
+		return first
 	}
-	var flush *pendingBatch
-	if len(pb.subs) >= b.s.cfg.BatchMaxRequests || pb.total >= b.s.cfg.BatchMaxTotal {
-		flush = pb
-		delete(b.pend, j.width)
-	} else if b.timer == nil {
-		b.timer = time.AfterFunc(b.s.cfg.BatchWindow, b.flushAll)
+	return &job{
+		n:     total,
+		prio:  first.prio,
+		seq:   first.seq, // first runs only inside the container
+		enq:   first.enq,
+		width: first.width,
+		subs:  append([]*job{first}, subs...),
 	}
-	b.mu.Unlock()
-	if flush != nil {
-		b.s.pushBatch(j.width, flush)
-	}
-}
-
-// flushAll pushes every pending batch into the queue (the window
-// timer's callback).
-func (b *batcher) flushAll() {
-	b.mu.Lock()
-	pend := b.pend
-	b.pend = make(map[int]*pendingBatch)
-	if b.timer != nil {
-		b.timer.Stop()
-		b.timer = nil
-	}
-	b.mu.Unlock()
-	for width, pb := range pend {
-		b.s.pushBatch(width, pb)
-	}
-}
-
-// stop flushes everything and passes later adds straight through — the
-// drain path, called before the queue closes.
-func (b *batcher) stop() {
-	b.mu.Lock()
-	b.stopped = true
-	b.mu.Unlock()
-	b.flushAll()
-}
-
-// pushBatch wraps one pending batch in a container job and enqueues it.
-// A single-request batch skips the container and runs as itself.
-func (s *Server) pushBatch(width int, pb *pendingBatch) {
-	if len(pb.subs) == 1 {
-		s.q.push(pb.subs[0])
-		return
-	}
-	s.q.push(&job{
-		n:     pb.total,
-		prio:  pb.prio,
-		seq:   s.seq.Add(1),
-		enq:   pb.enq,
-		width: width,
-		subs:  pb.subs,
-	})
 }
 
 // runBatch executes one merged batch container and settles every

@@ -103,10 +103,17 @@ func (s *Server) handleSort(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "bad-request", "POST required")
 		return
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<30))
-	dec.DisallowUnknownFields()
+	// The request sorts in the codec's columns, so the codec goes back to
+	// the pool only once no executor can touch them: not when Submit
+	// gave up on a cancelled client while the job stays queued.
+	d := getCodec()
+	defer func() {
+		if r.Context().Err() == nil {
+			putCodec(d)
+		}
+	}()
 	var body SortRequestJSON
-	if err := dec.Decode(&body); err != nil {
+	if err := d.decodeSortRequest(http.MaxBytesReader(w, r.Body, 1<<30), &body); err != nil {
 		writeError(w, http.StatusBadRequest, "bad-request", "invalid JSON: "+err.Error())
 		return
 	}
@@ -120,26 +127,8 @@ func (s *Server) handleSort(w http.ResponseWriter, r *http.Request) {
 		writeSubmitError(w, err)
 		return
 	}
-	resp := SortResponseJSON{
-		QueueNs:       res.QueueWait.Nanoseconds(),
-		SortNs:        res.SortTime.Nanoseconds(),
-		Attempts:      res.Attempts,
-		Stage:         res.Stage,
-		Degraded:      res.Degraded,
-		Batched:       res.Batched,
-		BatchRequests: res.BatchRequests,
-		Spilled:       res.Spilled,
-	}
-	if req.Keys64 != nil {
-		resp.Keys, resp.Vals = req.Keys64, req.Vals64
-	} else {
-		resp.Keys = widen(req.Keys32)
-		if req.Vals32 != nil {
-			resp.Vals = widen(req.Vals32)
-		}
-	}
 	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(resp)
+	_ = d.writeSortResponse(w, req, res) // a failed write means the client left
 }
 
 // toRequest converts the wire body into a server Request.
@@ -188,15 +177,6 @@ func narrow(xs []uint64, field string) ([]uint32, error) {
 		out[i] = uint32(x)
 	}
 	return out, nil
-}
-
-// widen converts a uint32 column to the uint64 wire form.
-func widen(xs []uint32) []uint64 {
-	out := make([]uint64, len(xs))
-	for i, x := range xs {
-		out[i] = uint64(x)
-	}
-	return out
 }
 
 // writeSubmitError maps a Submit error onto the HTTP status taxonomy.

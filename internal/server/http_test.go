@@ -85,6 +85,8 @@ func TestHTTPMalformedRequestTable(t *testing.T) {
 		{"bad priority", "POST", `{"algo":"lsb","priority":7,"keys":[1]}`, http.StatusBadRequest, "bad-request"},
 		{"vals length mismatch", "POST", `{"algo":"lsb","keys":[1,2],"vals":[1]}`, http.StatusBadRequest, "bad-request"},
 		{"too large", "POST", `{"algo":"lsb","keys":[1,2,3,4,5]}`, http.StatusRequestEntityTooLarge, "too-large"},
+		{"trailing garbage", "POST", `{"algo":"lsb","keys":[3,1,2]}garbage`, http.StatusBadRequest, "bad-request"},
+		{"two objects", "POST", `{"algo":"lsb","keys":[3,1,2]}{"algo":"lsb","keys":[1]}`, http.StatusBadRequest, "bad-request"},
 		{"wrong method", "GET", ``, http.StatusMethodNotAllowed, "bad-request"},
 	}
 	for _, tc := range cases {

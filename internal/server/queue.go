@@ -2,7 +2,8 @@
 // admission sequence) under one mutex with a condition variable for the
 // executor pool. The depth bound is enforced at admission (Server.admit)
 // — every heap entry is an already-admitted job — so push never blocks
-// and pop is the only waiting side.
+// and pop is the only waiting side. Popping a small key-only job
+// coalesces its queued same-width companions into one batch (batch.go).
 
 package server
 
@@ -17,18 +18,21 @@ type queue struct {
 	cond   *sync.Cond
 	jobs   jobHeap
 	closed bool
+
+	// batchRequests and batchTotal cap one coalesced batch
+	// (Config.BatchMaxRequests, Config.BatchMaxTotal).
+	batchRequests, batchTotal int
 }
 
-// newQueue returns an empty open queue.
-func newQueue() *queue {
-	q := &queue{}
+// newQueue returns an empty open queue whose batches hold at most
+// batchRequests requests and stop growing at batchTotal merged keys.
+func newQueue(batchRequests, batchTotal int) *queue {
+	q := &queue{batchRequests: batchRequests, batchTotal: batchTotal}
 	q.cond = sync.NewCond(&q.mu)
 	return q
 }
 
-// push enqueues one admitted job. Pushing to a closed queue still
-// succeeds (the drain path flushes coalesced batches after closing the
-// intake; executors keep draining until the heap is empty).
+// push enqueues one admitted job.
 func (q *queue) push(j *job) {
 	q.mu.Lock()
 	heap.Push(&q.jobs, j)
@@ -37,7 +41,8 @@ func (q *queue) push(j *job) {
 }
 
 // pop blocks until a job is available or the queue is closed and empty;
-// ok=false means the executor should exit.
+// ok=false means the executor should exit. A small job comes back as a
+// batch container when same-width small jobs were queued behind it.
 func (q *queue) pop() (*job, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -47,7 +52,11 @@ func (q *queue) pop() (*job, bool) {
 	if len(q.jobs) == 0 {
 		return nil, false
 	}
-	return heap.Pop(&q.jobs).(*job), true
+	j := heap.Pop(&q.jobs).(*job)
+	if j.small {
+		j = q.coalesce(j)
+	}
+	return j, true
 }
 
 // close marks the queue draining: executors finish the remaining heap

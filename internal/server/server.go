@@ -2,13 +2,13 @@
 // long-running multi-tenant sort service: a bounded priority job queue
 // with admission control (queue depth, an auxiliary-memory ledger,
 // per-tenant in-flight caps, drain state), per-size-class workspace
-// arenas shared across tenants, coalescing of small key-only requests
-// into merged stable runs, a persistent executor pool running every job
-// through partsort.SortCtx under the retry/fallback supervisor
+// arenas shared across tenants, coalescing of queued small key-only
+// requests into merged stable runs, a persistent executor pool running
+// every job through partsort.SortCtx under the retry/fallback supervisor
 // (SortOptions.Retry), and graceful drain/cancellation reusing its
-// rollback machinery. The
-// HTTP/JSON and length-prefixed TCP front ends live in http.go and
-// tcp.go; every stage reports into the obs metrics registry (metrics.go).
+// rollback machinery. The HTTP/JSON and length-prefixed TCP front ends
+// live in http.go (with the JSON codec in codec.go) and tcp.go; every
+// stage reports into the obs metrics registry (metrics.go).
 //
 // The decomposition mirrors the query-node/service split of distributed
 // query engines: the library kernels are the segment-level compute, this
@@ -32,8 +32,8 @@ import (
 // defaults; Normalize applies them in place.
 type Config struct {
 	// QueueDepth bounds the number of admitted-but-unfinished requests
-	// (queued + coalescing + executing). Submissions past it are rejected
-	// with a retry hint (default 256).
+	// (queued + executing). Submissions past it are rejected with a
+	// retry hint (default 256).
 	QueueDepth int
 	// Workers is the number of executor goroutines draining the job
 	// queue (default GOMAXPROCS).
@@ -71,17 +71,16 @@ type Config struct {
 	// (0: no per-tenant cap).
 	MaxPerTenant int
 	// BatchMaxTuples is the coalescing threshold: key-only requests with
-	// at most this many keys are merged into batched runs (default 4096;
-	// negative disables coalescing).
+	// at most this many keys are coalesced from the backlog — an
+	// executor that pops one merges the same-width ones queued behind it
+	// into one batched run (default 4096; negative disables coalescing).
+	// Nothing waits for companions: batches form only while every
+	// executor is busy.
 	BatchMaxTuples int
-	// BatchWindow is how long the coalescer holds the first small
-	// request open for companions before flushing (default 2ms).
-	BatchWindow time.Duration
-	// BatchMaxRequests flushes a batch once it holds this many requests
-	// (default 64).
+	// BatchMaxRequests caps a batch at this many requests (default 64).
 	BatchMaxRequests int
-	// BatchMaxTotal flushes a batch once its merged key count reaches
-	// this (default 1<<16).
+	// BatchMaxTotal stops a batch growing once its merged key count
+	// reaches this (default 1<<16).
 	BatchMaxTotal int
 	// ArenasPerClass is how many idle workspace arenas each size class
 	// keeps pooled (default 4; excess arenas are closed on release).
@@ -117,9 +116,6 @@ func (c *Config) Normalize() {
 	if c.BatchMaxTuples == 0 {
 		c.BatchMaxTuples = 4096
 	}
-	if c.BatchWindow <= 0 {
-		c.BatchWindow = 2 * time.Millisecond
-	}
 	if c.BatchMaxRequests <= 0 {
 		c.BatchMaxRequests = 64
 	}
@@ -135,7 +131,7 @@ func (c *Config) Normalize() {
 }
 
 // Request is one sort submission. Exactly one width's key column must be
-// set; the matching vals column is optional (key-only requests are
+// set; the matching vals column is optional (small key-only requests are
 // eligible for coalescing). The sort happens in place: on success the
 // request's own slices hold the sorted output.
 type Request struct {
@@ -261,6 +257,7 @@ type job struct {
 	done  chan jobResult // buffered(1); nil for batch containers
 	width int
 	subs  []*job // non-nil: this is a merged batch container
+	small bool   // key-only and at most BatchMaxTuples keys: coalescable
 
 	// external routes the job through the disk-spilling sort; spill is
 	// its estimated disk footprint charged to the spill ledger.
@@ -276,7 +273,6 @@ type Server struct {
 	q       *queue
 	arenas  *arenaPool
 	tenants *tenantTable
-	batch   *batcher
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
@@ -285,8 +281,8 @@ type Server struct {
 
 	// gate closes the admission window: Submit holds it shared from
 	// admission through enqueue, Drain takes it exclusively to flip the
-	// draining flag — so no request can slip past a flushed coalescer
-	// into a queue the executors have already finished.
+	// draining flag — so no request can slip into a queue the executors
+	// have already finished.
 	gate sync.RWMutex
 
 	seq          atomic.Uint64
@@ -308,14 +304,14 @@ type Server struct {
 	started time.Time
 }
 
-// New starts a Server: its executor workers and coalescer run until
-// Drain. The configuration is normalized in place.
+// New starts a Server: its executor workers run until Drain. The
+// configuration is normalized in place.
 func New(cfg Config) *Server {
 	cfg.Normalize()
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:        cfg,
-		q:          newQueue(),
+		q:          newQueue(cfg.BatchMaxRequests, cfg.BatchMaxTotal),
 		arenas:     newArenaPool(cfg.ArenasPerClass),
 		baseCtx:    ctx,
 		baseCancel: cancel,
@@ -325,7 +321,6 @@ func New(cfg Config) *Server {
 	}
 	s.met = newMetrics(cfg.Registry)
 	s.tenants = newTenantTable(cfg.Registry)
-	s.batch = newBatcher(s)
 	for i := 0; i < cfg.Workers; i++ {
 		s.workerWG.Add(1)
 		go s.worker()
@@ -343,8 +338,8 @@ func estAux(n, width int) int64 {
 	return int64(n)*(4*w8+4) + (64 << 10)
 }
 
-// Submit runs one request through admission, the queue (or the
-// coalescer), and an executor, blocking until the sort finished or ctx
+// Submit runs one request through admission, the queue, and an
+// executor (alone or coalesced into a batch), blocking until the sort finished or ctx
 // was cancelled. On success the request's slices hold the sorted
 // columns. Errors: *partsort.ArgError (malformed request),
 // *TooLargeError, *AdmissionError (rejected, retry later), ctx.Err()
@@ -399,11 +394,8 @@ func (s *Server) Submit(ctx context.Context, req *Request) (Result, error) {
 		s.gate.RUnlock()
 		return Result{}, err
 	}
-	if !j.external && s.cfg.BatchMaxTuples > 0 && !req.hasVals() && n <= s.cfg.BatchMaxTuples {
-		s.batch.add(j)
-	} else {
-		s.q.push(j)
-	}
+	j.small = !j.external && !req.hasVals() && n <= s.cfg.BatchMaxTuples
+	s.q.push(j)
 	s.gate.RUnlock()
 
 	select {
@@ -598,18 +590,20 @@ func (s *Server) execute(j *job) (Result, error) {
 		Retry:       s.retryPolicy(&rs),
 	}
 
+	// A key-only request still sorts pairs (SortCtx's contract); its
+	// payload column is arena scratch the client never sees.
 	start := time.Now()
 	var err error
 	if j.width == 64 {
 		vals := j.req.Vals64
 		if vals == nil {
-			vals = partsort.RIDs[uint64](j.n)
+			vals = arena.payload64(j.n)
 		}
 		err = partsort.SortCtx(ctx, j.req.Algo, j.req.Keys64, vals, opt)
 	} else {
 		vals := j.req.Vals32
 		if vals == nil {
-			vals = partsort.RIDs[uint32](j.n)
+			vals = arena.payload32(j.n)
 		}
 		err = partsort.SortCtx(ctx, j.req.Algo, j.req.Keys32, vals, opt)
 	}
@@ -697,12 +691,11 @@ func (s *Server) PendingSpillBytes() int64 { return s.pendingSpill.Load() }
 // the server's workspace arenas (0 when the server is idle or drained).
 func (s *Server) AuxBytes() int64 { return s.arenas.auxBytes() }
 
-// Drain gracefully stops the server: admission flips to rejecting,
-// the coalescer flushes its pending batches, the executors finish the
-// queue, and the workspace arenas close. If ctx expires first, every
-// running job is cancelled through its SortCtx rollback (inputs left a
-// permutation) and Drain waits for the executors to unwind before
-// returning ctx's error. Idempotent: later calls return the first
+// Drain gracefully stops the server: admission flips to rejecting, the
+// executors finish the queue, and the workspace arenas close. If ctx
+// expires first, every running job is cancelled through its SortCtx
+// rollback (inputs left a permutation) and Drain waits for the
+// executors to unwind before returning ctx's error. Idempotent: later calls return the first
 // outcome after it completes.
 func (s *Server) Drain(ctx context.Context) error {
 	s.drainOnce.Do(func() {
@@ -710,7 +703,6 @@ func (s *Server) Drain(ctx context.Context) error {
 		s.gate.Lock()
 		s.draining.Store(true)
 		s.gate.Unlock() // in-flight Submits have enqueued; new ones reject
-		s.batch.stop()  // flush pending batches into the queue
 		s.q.close()     // executors exit once the queue is empty
 
 		workersDone := make(chan struct{})

@@ -1,6 +1,6 @@
 // Lifecycle tests for the sort service: admission control under tiny
 // bounds, graceful and forced drain (no leaked goroutines, admission
-// ledger settled back to zero), coalescing correctness, and the
+// ledger settled back to zero), coalescing from the backlog, and the
 // priority queue's ordering contract.
 
 package server
@@ -15,6 +15,7 @@ import (
 	"time"
 
 	partsort "repro"
+	"repro/internal/fault"
 	"repro/internal/obs"
 )
 
@@ -42,6 +43,56 @@ func checkSorted(t *testing.T, keys []uint64) {
 			t.Fatalf("keys[%d]=%d > keys[%d]=%d", i-1, keys[i-1], i, keys[i])
 		}
 	}
+}
+
+// holdExecutor parks the next sort on cfg's server mid-run, so requests
+// queue deterministically behind it: that sort's first LSB pass hits an
+// injected fault, and the retry classifier blocks until release is
+// called, then classifies the fault transient so the retry succeeds.
+// Other errors get the default classification. parked closes once the
+// executor is held. cfg should have one worker.
+func holdExecutor(t *testing.T, cfg *Config) (parked <-chan struct{}, release func()) {
+	t.Helper()
+	held, free := make(chan struct{}), make(chan struct{})
+	cfg.Retry = &partsort.RetryPolicy{
+		InitialBackoff: time.Nanosecond,
+		Classify: func(err error) partsort.RetryClass {
+			var inj fault.Injected
+			if !errors.As(err, &inj) {
+				return partsort.ClassifyError(err)
+			}
+			close(held) // the fault fires once, so this runs once
+			<-free
+			return partsort.RetryTransient
+		},
+	}
+	fault.Enable(fault.SiteLSBPass, 0)
+	var once sync.Once
+	release = func() { once.Do(func() { close(free) }) }
+	t.Cleanup(fault.Disable)
+	t.Cleanup(release)
+	return held, release
+}
+
+// submitHeld starts a sort with payloads (never coalesced) that the
+// executor parks on, and waits until it is parked. The returned channel
+// yields its Submit error.
+func submitHeld(t *testing.T, s *Server, parked <-chan struct{}, tenant string) <-chan error {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() {
+		keys := randKeys(4096, 7)
+		_, err := s.Submit(context.Background(), &Request{
+			Tenant: tenant, Algo: partsort.LSB, Keys64: keys, Vals64: make([]uint64, len(keys)),
+		})
+		done <- err
+	}()
+	select {
+	case <-parked:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the held sort never reached the retry classifier")
+	}
+	return done
 }
 
 // drainOK drains s with a generous budget and fails the test on error.
@@ -146,24 +197,21 @@ func TestAdmissionRejectsWhenQueueFull(t *testing.T) {
 	cfg := testConfig()
 	cfg.QueueDepth = 2
 	cfg.Workers = 1
-	// Park admitted requests in the coalescer so they hold depth slots
-	// deterministically without executing.
-	cfg.BatchWindow = time.Hour
-	cfg.BatchMaxRequests = 100
-	cfg.BatchMaxTotal = 1 << 30
+	// A parked executor holds one depth slot and the request queued
+	// behind it the other, deterministically.
+	parked, release := holdExecutor(t, &cfg)
 	s := New(cfg)
+	held := submitHeld(t, s, parked, "")
 
 	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			_, err := s.Submit(context.Background(), &Request{Algo: partsort.LSB, Keys64: randKeys(64, seed)})
-			if err != nil {
-				t.Errorf("held Submit: %v", err)
-			}
-		}(int64(i))
-	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		_, err := s.Submit(context.Background(), &Request{Algo: partsort.LSB, Keys64: randKeys(64, 1)})
+		if err != nil {
+			t.Errorf("queued Submit: %v", err)
+		}
+	}()
 	waitFor(t, time.Second, func() bool { return s.QueueDepth() == 2 })
 
 	_, err := s.Submit(context.Background(), &Request{Algo: partsort.LSB, Keys64: randKeys(64, 99)})
@@ -175,8 +223,12 @@ func TestAdmissionRejectsWhenQueueFull(t *testing.T) {
 		t.Fatalf("queue-full rejection carries no Retry-After hint")
 	}
 
-	drainOK(t, s) // flushes the held batch; the parked Submits settle
+	release()
+	drainOK(t, s) // the held sort and the queued request settle
 	wg.Wait()
+	if err := <-held; err != nil {
+		t.Fatalf("held Submit: %v", err)
+	}
 	if got := s.PendingAuxBytes(); got != 0 {
 		t.Fatalf("ledger holds %d bytes after drain", got)
 	}
@@ -233,20 +285,10 @@ func TestAdmissionRejectsWithoutSpillDir(t *testing.T) {
 func TestAdmissionRejectsOverTenantCap(t *testing.T) {
 	cfg := testConfig()
 	cfg.MaxPerTenant = 1
-	cfg.BatchWindow = time.Hour // park the first request in the coalescer
+	cfg.Workers = 1
+	parked, release := holdExecutor(t, &cfg) // acme's request holds its slot
 	s := New(cfg)
-
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if _, err := s.Submit(context.Background(), &Request{
-			Tenant: "acme", Algo: partsort.LSB, Keys64: randKeys(64, 1),
-		}); err != nil {
-			t.Errorf("held Submit: %v", err)
-		}
-	}()
-	waitFor(t, time.Second, func() bool { return s.QueueDepth() == 1 })
+	held := submitHeld(t, s, parked, "acme")
 
 	_, err := s.Submit(context.Background(), &Request{
 		Tenant: "acme", Algo: partsort.LSB, Keys64: randKeys(64, 2),
@@ -256,8 +298,8 @@ func TestAdmissionRejectsOverTenantCap(t *testing.T) {
 		t.Fatalf("want tenant-limit AdmissionError, got %v", err)
 	}
 
-	// A different tenant is unaffected by acme's cap. Its request joins
-	// the parked batch; drain flushes both.
+	// A different tenant is unaffected by acme's cap. Its request queues
+	// behind the parked one; drain settles both.
 	var other sync.WaitGroup
 	other.Add(1)
 	go func() {
@@ -270,9 +312,15 @@ func TestAdmissionRejectsOverTenantCap(t *testing.T) {
 	}()
 	waitFor(t, time.Second, func() bool { return s.QueueDepth() == 2 })
 
+	release()
 	drainOK(t, s)
-	wg.Wait()
 	other.Wait()
+	if err := <-held; err != nil {
+		t.Fatalf("held Submit: %v", err)
+	}
+	if got := s.PendingAuxBytes(); got != 0 {
+		t.Fatalf("ledger holds %d bytes after drain", got)
+	}
 }
 
 func TestDrainGracefulNoLeaks(t *testing.T) {
@@ -280,7 +328,6 @@ func TestDrainGracefulNoLeaks(t *testing.T) {
 
 	cfg := testConfig()
 	cfg.Workers = 4
-	cfg.BatchWindow = time.Millisecond
 	s := New(cfg)
 
 	var wg sync.WaitGroup
@@ -383,50 +430,208 @@ func TestSubmitCancellation(t *testing.T) {
 	waitFor(t, 5*time.Second, func() bool { return s.PendingAuxBytes() == 0 })
 }
 
+// TestCoalescingLoneRequestRunsUnbatched pins work conservation: a small
+// key-only request on an idle server runs at once, alone.
+func TestCoalescingLoneRequestRunsUnbatched(t *testing.T) {
+	s := New(testConfig())
+	defer drainOK(t, s)
+	for i := 0; i < 3; i++ {
+		keys := randKeys(512, int64(i))
+		res, err := s.Submit(context.Background(), &Request{Algo: partsort.LSB, Keys64: keys})
+		if err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+		checkSorted(t, keys)
+		if res.Batched || res.BatchRequests != 0 {
+			t.Fatalf("lone request batched (BatchRequests=%d)", res.BatchRequests)
+		}
+	}
+}
+
+// coalesceReq is one request queued behind a held executor.
+type coalesceReq struct {
+	prio  int
+	width int  // 32 or 64
+	vals  bool // carries payloads: never coalesced
+}
+
+// request builds the request with n pseudo-random keys from seed and
+// returns it with its keys' sum.
+func (c coalesceReq) request(n int, seed int64) (*Request, uint64) {
+	req := &Request{Tenant: []string{"a", "b", "c"}[seed%3], Algo: partsort.LSB, Priority: c.prio}
+	keys := randKeys(n, seed)
+	if c.width == 32 {
+		req.Keys32 = make([]uint32, n)
+		for i, k := range keys {
+			req.Keys32[i] = uint32(k)
+		}
+	} else {
+		req.Keys64 = keys
+	}
+	if c.vals {
+		req.Vals64 = make([]uint64, n)
+	}
+	var sum uint64
+	for _, k := range keyColumn(req) {
+		sum += k
+	}
+	return req, sum
+}
+
+// keyColumn returns req's keys as uint64s.
+func keyColumn(req *Request) []uint64 {
+	if req.Keys64 != nil {
+		return req.Keys64
+	}
+	keys := make([]uint64, len(req.Keys32))
+	for i, k := range req.Keys32 {
+		keys[i] = uint64(k)
+	}
+	return keys
+}
+
+// TestCoalescingMergesSmallRequests queues small requests behind a held
+// executor and checks how the executor that pops them groups them: each
+// batch is same-width small key-only jobs taken in (priority, admission)
+// order up to the caps, and every request comes back sorted with its own
+// keys.
 func TestCoalescingMergesSmallRequests(t *testing.T) {
+	const keysPer = 512
+	cases := []struct {
+		name            string
+		maxReqs, maxTot int
+		reqs            []coalesceReq
+		want            []int // BatchRequests per request; 0 = ran alone
+	}{
+		{
+			name: "backlog of N is one batch of N",
+			reqs: []coalesceReq{{1, 64, false}, {1, 64, false}, {1, 64, false}, {1, 64, false},
+				{1, 64, false}, {1, 64, false}, {1, 64, false}, {1, 64, false}},
+			want: []int{8, 8, 8, 8, 8, 8, 8, 8},
+		},
+		{
+			name: "widths and payload requests stay apart",
+			reqs: []coalesceReq{{1, 64, false}, {1, 32, false}, {1, 64, true}, {1, 64, false},
+				{1, 32, false}, {1, 32, false}, {1, 64, false}},
+			want: []int{3, 3, 0, 3, 3, 3, 3},
+		},
+		{
+			// The late interactive request is popped first and takes the
+			// three oldest batch-priority requests with it.
+			name:    "priority order under the request cap",
+			maxReqs: 4,
+			reqs: []coalesceReq{{2, 64, false}, {2, 64, false}, {2, 64, false}, {2, 64, false},
+				{2, 64, false}, {0, 64, false}},
+			want: []int{4, 4, 4, 2, 2, 4},
+		},
+		{
+			// A batch stops growing once it reaches 3·keysPer keys.
+			name:   "merged-key cap",
+			maxTot: 3 * keysPer,
+			reqs:   []coalesceReq{{1, 64, false}, {1, 64, false}, {1, 64, false}, {1, 64, false}, {1, 64, false}},
+			want:   []int{3, 3, 3, 2, 2},
+		},
+		{
+			name: "a single queued request runs alone",
+			reqs: []coalesceReq{{1, 64, false}},
+			want: []int{0},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testConfig()
+			cfg.Workers = 1
+			cfg.BatchMaxRequests, cfg.BatchMaxTotal = tc.maxReqs, tc.maxTot
+			parked, release := holdExecutor(t, &cfg)
+			s := New(cfg)
+			held := submitHeld(t, s, parked, "")
+
+			type outcome struct {
+				res Result
+				err error
+			}
+			reqs := make([]*Request, len(tc.reqs))
+			sums := make([]uint64, len(tc.reqs))
+			outs := make([]chan outcome, len(tc.reqs))
+			for i, c := range tc.reqs {
+				reqs[i], sums[i] = c.request(keysPer, int64(100+i))
+				outs[i] = make(chan outcome, 1)
+				go func() {
+					res, err := s.Submit(context.Background(), reqs[i])
+					outs[i] <- outcome{res, err}
+				}()
+				// Admission order is submission order: wait for each job to
+				// reach the heap before submitting the next.
+				waitFor(t, 5*time.Second, func() bool { return s.q.len() == i+1 })
+			}
+			release()
+			if err := <-held; err != nil {
+				t.Fatalf("held Submit: %v", err)
+			}
+			for i := range reqs {
+				o := <-outs[i]
+				if o.err != nil {
+					t.Fatalf("request %d: %v", i, o.err)
+				}
+				keys := keyColumn(reqs[i])
+				checkSorted(t, keys)
+				var sum uint64
+				for _, k := range keys {
+					sum += k
+				}
+				if sum != sums[i] {
+					t.Fatalf("request %d: key checksum changed, keys leaked across requests", i)
+				}
+				if o.res.BatchRequests != tc.want[i] || o.res.Batched != (tc.want[i] > 0) {
+					t.Fatalf("request %d: Batched=%v BatchRequests=%d, want %d",
+						i, o.res.Batched, o.res.BatchRequests, tc.want[i])
+				}
+			}
+			drainOK(t, s)
+			if got := s.PendingAuxBytes(); got != 0 {
+				t.Fatalf("ledger holds %d bytes after drain", got)
+			}
+		})
+	}
+}
+
+// TestSubmitKeyOnlyAllocs bounds the single-request path's garbage: a
+// key-only request sorts against a payload column leased from its arena,
+// not a fresh row-id column per request.
+func TestSubmitKeyOnlyAllocs(t *testing.T) {
 	cfg := testConfig()
-	cfg.Workers = 2
-	cfg.BatchWindow = 100 * time.Millisecond
+	cfg.Workers = 1
+	cfg.BatchMaxTuples = -1
 	s := New(cfg)
 	defer drainOK(t, s)
 
-	const reqs = 8
-	type out struct {
-		keys []uint64
-		res  Result
-	}
-	outs := make([]out, reqs)
-	var wg sync.WaitGroup
-	for i := 0; i < reqs; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			keys := randKeys(512, int64(i+1))
-			res, err := s.Submit(context.Background(), &Request{Algo: partsort.MSB, Keys64: keys})
-			if err != nil {
-				t.Errorf("Submit %d: %v", i, err)
-				return
-			}
-			outs[i] = out{keys: keys, res: res}
-		}(i)
-	}
-	wg.Wait()
-
-	merged := 0
-	for i, o := range outs {
-		if o.keys == nil {
-			continue
-		}
-		checkSorted(t, o.keys)
-		if o.res.Batched {
-			merged++
-			if o.res.BatchRequests < 2 {
-				t.Fatalf("request %d batched with BatchRequests=%d", i, o.res.BatchRequests)
-			}
+	const n = 1 << 14
+	keys := make([]uint64, n)
+	submit := func() {
+		copy(keys, randKeys(n, 5))
+		if _, err := s.Submit(context.Background(), &Request{Algo: partsort.MSB, Keys64: keys}); err != nil {
+			t.Fatalf("Submit: %v", err)
 		}
 	}
-	if merged == 0 {
-		t.Fatalf("no request coalesced under a %s window", cfg.BatchWindow)
+	for i := 0; i < 3; i++ {
+		submit() // warm the arena
+	}
+	const runs = 10
+	var before, after runtime.MemStats
+	fresh := make([][]uint64, runs)
+	for i := range fresh {
+		fresh[i] = randKeys(n, int64(i))
+	}
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := s.Submit(context.Background(), &Request{Algo: partsort.MSB, Keys64: fresh[i]}); err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perReq := (after.TotalAlloc - before.TotalAlloc) / runs
+	if perReq >= n*8/4 {
+		t.Fatalf("a %d-key key-only Submit allocated %d bytes; a payload column is %d", n, perReq, n*8)
 	}
 }
 
@@ -464,7 +669,7 @@ func TestValidateRequestTable(t *testing.T) {
 }
 
 func TestQueuePriorityOrdering(t *testing.T) {
-	q := newQueue()
+	q := newQueue(64, 1<<16)
 	for i, prio := range []int{2, 0, 1, 0, 2} {
 		q.push(&job{prio: prio, seq: uint64(i + 1)})
 	}

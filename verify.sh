@@ -94,6 +94,13 @@ go run ./cmd/tunecli -load "$obsdir/profile.json" -plan-maxbytes 1048576 > /dev/
 # ledger — exercising the over-budget degradation onto the external
 # sort under concurrent load (every response still verified sorted).
 go test ./internal/server/
+# Coalescing runs on the executors under the queue lock, so the server
+# lifecycle tests also run under the race detector; the /v1/sort decoder
+# must keep agreeing with encoding/json on fuzzed bodies
+# (FuzzSortRequestJSON: same accept/reject set and struct, trailing data
+# the one deliberate difference).
+go test -race -short -count=1 ./internal/server/
+go test -run '^$' -fuzz FuzzSortRequestJSON -fuzztime 10s ./internal/server/
 go build -o "$obsdir/sortd" ./cmd/sortd
 go build -o "$obsdir/sortload" ./cmd/sortload
 mkdir -p "$obsdir/spill"
