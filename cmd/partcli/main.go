@@ -17,7 +17,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"strings"
 	"syscall"
 	"time"
@@ -133,9 +132,7 @@ func run[K kv.Key](n, fanout int, fnName, variant, dist string, theta float64, t
 	case "hash":
 		fn = pfunc.NewHash[K](fanout)
 	case "range":
-		sample := splitter.Sample(keys, 64*fanout, seed+1)
-		sort.Slice(sample, func(i, j int) bool { return sample[i] < sample[j] })
-		delims := splitter.EqualDepth(sample, fanout)
+		delims := splitter.EqualDepth(splitter.Sample(keys, 64*fanout, seed+1), fanout)
 		fn = partsort.NewRangeIndex(delims)
 	default:
 		fatal("unknown function " + fnName)

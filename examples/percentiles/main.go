@@ -9,7 +9,7 @@ package main
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	partsort "repro"
@@ -38,7 +38,7 @@ func main() {
 	for i := range sample {
 		sample[i] = lat[rng.Uint64n(n)]
 	}
-	sort.Slice(sample, func(i, j int) bool { return sample[i] < sample[j] })
+	slices.Sort(sample)
 	delims := make([]uint64, 99)
 	for i := range delims {
 		delims[i] = sample[(i+1)*len(sample)/100]

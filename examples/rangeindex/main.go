@@ -9,6 +9,7 @@ package main
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -26,7 +27,7 @@ func main() {
 
 	// Delimiters: equal-depth over a sample — 999 sorted split points.
 	sample := append([]uint64(nil), keys[:1<<16]...)
-	sort.Slice(sample, func(i, j int) bool { return sample[i] < sample[j] })
+	slices.Sort(sample)
 	delims := make([]uint64, fanout-1)
 	for i := range delims {
 		delims[i] = sample[(i+1)*len(sample)/fanout]

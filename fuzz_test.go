@@ -97,10 +97,10 @@ func FuzzRangeIndex(f *testing.F) {
 		// Delimiters must be sorted; sort them with the library itself.
 		rids := RIDs[uint32](len(delims))
 		SortLSB(delims, rids, nil)
-		ref := splitter.RefineDuplicates(delims)
-		tree := rangeidx.NewTreeFor(ref.Delims)
+		refined, _ := splitter.RefineDuplicates(delims)
+		tree := rangeidx.NewTreeFor(refined)
 		for _, k := range bytesToKeys(keyBytes) {
-			if got, want := tree.Partition(k), rangeidx.Search(ref.Delims, k); got != want {
+			if got, want := tree.Partition(k), rangeidx.Search(refined, k); got != want {
 				t.Fatalf("Partition(%d) = %d, want %d", k, got, want)
 			}
 		}

@@ -2,7 +2,7 @@ package figures
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/gen"
@@ -162,7 +162,7 @@ func histogramFigure[K kv.Key](id, title string, cfg Config) *Table {
 	}
 	for _, p := range histogramSweep {
 		delims := gen.Uniform[K](p-1, 0, uint64(p))
-		sort.Slice(delims, func(i, j int) bool { return delims[i] < delims[j] })
+		slices.Sort(delims)
 		tree := rangeidx.NewTreeFor(delims)
 
 		dIdx := timeIt(func() {

@@ -2,7 +2,7 @@ package gen
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/kv"
 )
@@ -19,7 +19,7 @@ type Dictionary[K kv.Key] struct {
 // BuildDictionary constructs a dictionary over the distinct values of keys.
 func BuildDictionary[K kv.Key](keys []K) *Dictionary[K] {
 	sorted := append([]K(nil), keys...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	slices.Sort(sorted)
 	distinct := sorted[:0]
 	for i, k := range sorted {
 		if i == 0 || k != distinct[len(distinct)-1] {
@@ -39,8 +39,8 @@ func (d *Dictionary[K]) Cardinality() int {
 // Encode returns the dense code of value k, or an error if k was not in the
 // dictionary's build set.
 func (d *Dictionary[K]) Encode(k K) (K, error) {
-	i := sort.Search(len(d.values), func(i int) bool { return d.values[i] >= k })
-	if i == len(d.values) || d.values[i] != k {
+	i, found := slices.BinarySearch(d.values, k)
+	if !found {
 		return 0, fmt.Errorf("gen: value %v not in dictionary", k)
 	}
 	return K(i), nil

@@ -2,7 +2,7 @@ package gen
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/kv"
 )
@@ -59,7 +59,7 @@ func RIDs[K kv.Key](n int) []K {
 // Sorted returns n keys in non-decreasing order over [0, domain).
 func Sorted[K kv.Key](n int, domain uint64, seed uint64) []K {
 	keys := Uniform[K](n, domain, seed)
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	slices.Sort(keys)
 	return keys
 }
 

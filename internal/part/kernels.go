@@ -114,10 +114,11 @@ func scatterLinesRadix[K kv.Key](srcK, srcV, dstK, dstV []K, shift uint, mask K,
 	buf.flushes += flushes
 }
 
-// scatterLinesCodesFast is scatterLinesCodes with the full-line fast flush
-// and a 2x-unrolled, software-pipelined main loop: the next tuple's code
-// and payload loads issue before the current tuple's dependent
-// cursor-load/buffer-store chain completes, overlapping the two chains.
+// scatterLinesCodesFast is scatterLinesCodes (its scalar reference, in
+// kernels_test.go) with the full-line fast flush and a 2x-unrolled,
+// software-pipelined main loop: the next tuple's code and payload loads
+// issue before the current tuple's dependent cursor-load/buffer-store
+// chain completes, overlapping the two chains.
 // The tail (at most one tuple) runs the same straight-line body.
 func scatterLinesCodesFast[K kv.Key](srcK, srcV, dstK, dstV []K, codes []int32, buf *lineBuffers[K], off, starts []int) {
 	n := len(srcK)

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/kv"
 	"repro/internal/pfunc"
 	"repro/internal/ws"
 )
@@ -180,6 +181,36 @@ func testCodesScatterAgreement[K interface{ ~uint32 | ~uint64 }](t *testing.T) {
 			}
 		}
 	}
+}
+
+// scatterLinesCodes is scatterLines driven by the code array instead of the
+// partition function: the scalar reference of scatterLinesCodesFast
+// (kernels.go), which the drivers dispatch to; testCodesScatterAgreement
+// asserts the two agree bit for bit.
+func scatterLinesCodes[K kv.Key](srcK, srcV, dstK, dstV []K, codes []int32, buf *lineBuffers[K], off, starts []int) {
+	if len(srcK) == 0 {
+		return
+	}
+	l := buf.l
+	bufK, bufV := buf.keys, buf.vals
+	srcV = srcV[:len(srcK)]
+	codes = codes[:len(srcK)]
+	var flushes uint64
+	for i, k := range srcK {
+		v := srcV[i]
+		p := int(codes[i])
+		o := off[p]
+		s := o & (l - 1)
+		bi := p*l + s
+		bufK[bi] = k
+		bufV[bi] = v
+		off[p] = o + 1
+		if s == l-1 {
+			flushLineAt(bufK, bufV, dstK, dstV, starts, p, o, l)
+			flushes++
+		}
+	}
+	buf.flushes += flushes
 }
 
 func TestCodesScatterFastAgreement32(t *testing.T) { testCodesScatterAgreement[uint32](t) }

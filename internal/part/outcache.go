@@ -221,36 +221,6 @@ func scatterOutOfCacheCodes[K kv.Key](srcK, srcV, dstK, dstV []K, codes []int32,
 	publishScatter(len(srcK), buf.flushes)
 }
 
-// scatterLinesCodes is scatterLines driven by the code array instead of the
-// partition function: the scalar reference of scatterLinesCodesFast
-// (kernels.go), which the drivers dispatch to; kernels_test.go asserts the
-// two agree bit for bit.
-func scatterLinesCodes[K kv.Key](srcK, srcV, dstK, dstV []K, codes []int32, buf *lineBuffers[K], off, starts []int) {
-	if len(srcK) == 0 {
-		return
-	}
-	l := buf.l
-	bufK, bufV := buf.keys, buf.vals
-	srcV = srcV[:len(srcK)]
-	codes = codes[:len(srcK)]
-	var flushes uint64
-	for i, k := range srcK {
-		v := srcV[i]
-		p := int(codes[i])
-		o := off[p]
-		s := o & (l - 1)
-		bi := p*l + s
-		bufK[bi] = k
-		bufV[bi] = v
-		off[p] = o + 1
-		if s == l-1 {
-			flushLineAt(bufK, bufV, dstK, dstV, starts, p, o, l)
-			flushes++
-		}
-	}
-	buf.flushes += flushes
-}
-
 // drainBuffers flushes every partition's final partial line. Runs once per
 // scatter call; the buffer columns are hoisted out of the loop so the
 // per-partition work is two straight copies.

@@ -1,11 +1,14 @@
 package rangeidx
 
 import (
+	"fmt"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/gen"
+	"repro/internal/kv"
 	"repro/internal/simd"
 )
 
@@ -203,23 +206,71 @@ func TestTree64(t *testing.T) {
 	}
 }
 
+// TestTreeLookupBatch pins the node search on every menu configuration
+// at both key widths: full and padded trees (nd < capacity-1, so padding
+// partitions stay empty), keys equal to each delimiter and one either
+// side of it, 0 and the maximum key, and every batch length from 0 to 17
+// around the 8-key unroll, plus a long odd length. LookupBatch, Partition
+// and Search must agree on every key.
 func TestTreeLookupBatch(t *testing.T) {
-	d := sortedDelims(359, 21)
-	tree := BuildTree(d, []int{8, 5, 9})
-	// Every length 0..17 covers all tail sizes around the 8-key unroll; the
-	// long odd length exercises the steady state.
-	lengths := []int{1003}
-	for n := 0; n <= 17; n++ {
-		lengths = append(lengths, n)
+	for _, cfg := range treeConfigs {
+		capacity := 1
+		for _, f := range cfg {
+			capacity *= f
+		}
+		for _, nd := range []int{0, 1, capacity / 3, capacity - 2, capacity - 1} {
+			seed := uint64(capacity*7 + nd)
+			checkLookupBatch(t, cfg, gen.Uniform[uint32](nd, 0, seed), gen.Uniform[uint32](1003, 0, seed+1))
+			checkLookupBatch(t, cfg, gen.Uniform[uint64](nd, 0, seed), gen.Uniform[uint64](1003, 0, seed+1))
+		}
 	}
-	for _, n := range lengths {
-		keys := gen.Uniform[uint32](n, 0, 77)
+}
+
+func checkLookupBatch[K kv.Key](t *testing.T, cfg []int, d, random []K) {
+	t.Helper()
+	slices.Sort(d)
+	tree := BuildTree(d, cfg)
+	keys := []K{0, kv.MaxKey[K]()}
+	for _, x := range d {
+		keys = append(keys, x-1, x, x+1)
+	}
+	keys = append(keys, random...)
+	check := func(keys []K) {
 		out := make([]int32, len(keys))
 		tree.LookupBatch(keys, out)
 		for i, k := range keys {
-			if int(out[i]) != Search(d, k) {
-				t.Fatalf("n=%d batch[%d] = %d, want %d", n, i, out[i], Search(d, k))
+			want := Search(d, k)
+			if int(out[i]) != want || tree.Partition(k) != want {
+				t.Fatalf("%d-bit cfg=%v nd=%d len=%d key=%d: batch %d, Partition %d, Search %d",
+					kv.Width[K](), cfg, len(d), len(keys), k, out[i], tree.Partition(k), want)
 			}
+		}
+	}
+	check(keys)
+	for n := 0; n <= 17; n++ {
+		check(keys[len(keys)-n:])
+	}
+}
+
+// TestTreeReset rebuilds one Tree over delimiter sets of shrinking and
+// growing size: each rebuild answers like a fresh NewTreeFor, and a
+// rebuild that fits the storage already held allocates nothing.
+func TestTreeReset(t *testing.T) {
+	var tree Tree[uint64]
+	for _, nd := range []int{999, 39, 0, 359, 4, 999} {
+		d := gen.Uniform[uint64](nd, 0, uint64(nd)+5)
+		slices.Sort(d)
+		tree.Reset(d)
+		if got, want := tree.Levels(), ChooseFanouts(nd+1); !slices.Equal(got, want) {
+			t.Fatalf("nd=%d: levels %v, want %v", nd, got, want)
+		}
+		for _, k := range append(gen.Uniform[uint64](500, 0, 9), d...) {
+			if got, want := tree.Partition(k), Search(d, k); got != want {
+				t.Fatalf("nd=%d key=%d: tree=%d search=%d", nd, k, got, want)
+			}
+		}
+		if a := testing.AllocsPerRun(5, func() { tree.Reset(d) }); a != 0 {
+			t.Fatalf("nd=%d: Reset into held storage allocates %v times", nd, a)
 		}
 	}
 }
@@ -278,4 +329,32 @@ func TestBuildTreeValidation(t *testing.T) {
 	mustPanic("overflow", func() { BuildTree(make([]uint32, 25), []int{5, 5}) })
 	mustPanic("unsorted", func() { BuildTree([]uint32{2, 1}, []int{5}) })
 	mustPanic("fanout<2", func() { BuildTree([]uint32{1}, []int{1, 5}) })
+}
+
+// BenchmarkTreeLookupBatch times the batched range function over 1 Mi
+// uniform keys for the 40-way (8x5), 360-way (8x5x9) and 1000-way
+// (8x5x5x5) menu configurations at both key widths.
+func BenchmarkTreeLookupBatch(b *testing.B) {
+	const n = 1 << 20
+	for _, p := range []int{40, 360, 1000} {
+		b.Run(fmt.Sprintf("u32/p=%d", p), func(b *testing.B) {
+			benchLookupBatch(b, gen.Uniform[uint32](n, 0, 3), p)
+		})
+		b.Run(fmt.Sprintf("u64/p=%d", p), func(b *testing.B) {
+			benchLookupBatch(b, gen.Uniform[uint64](n, 0, 3), p)
+		})
+	}
+}
+
+func benchLookupBatch[K kv.Key](b *testing.B, keys []K, p int) {
+	d := append([]K(nil), keys[:p-1]...)
+	slices.Sort(d)
+	tree := NewTreeFor(d)
+	out := make([]int32, len(keys))
+	b.SetBytes(int64(len(keys)) * int64(kv.Width[K]()/8))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tree.LookupBatch(keys, out)
+	}
+	b.ReportMetric(float64(len(keys))*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mkeys/s")
 }

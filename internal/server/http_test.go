@@ -172,7 +172,7 @@ func TestHTTPOverBudget413(t *testing.T) {
 			ts := httptest.NewServer(s.Handler())
 			defer ts.Close()
 
-			// 8192 keys: est ≈ 36·n + 64 KiB overflows both ledgers above.
+			// 8192 keys: est ≈ 36·n + 96 KiB overflows both ledgers above.
 			keys := make([]string, 8192)
 			for i := range keys {
 				keys[i] = strconv.Itoa(len(keys) - i)

@@ -330,12 +330,17 @@ func New(cfg Config) *Server {
 
 // estAux estimates one request's auxiliary footprint for the admission
 // ledger: the legacy two-column scratch plus a codes column plus the
-// merged-batch columns, with a fixed slack for line buffers and tables.
+// merged-batch columns, plus the kernels' fixed tables: 64 KiB for the
+// radix scatter's line buffers (32 KiB at any width), offset tables and
+// size-class rounding, and the LSB histogram, one 256-counter row per
+// radix pass — width/8 passes, 16 KiB at 32 bits and 32 KiB at 64 once
+// the arena rounds it to its size class.
 // Deliberately conservative — the in-place paths use far less, and the
-// per-job SortOptions.MaxAuxBytes cap holds the run to this promise.
+// per-job SortOptions.MaxAuxBytes cap holds the run to this promise, so
+// an estimate below the fixed tables fails a tiny request's first attempt.
 func estAux(n, width int) int64 {
 	w8 := int64(width / 8)
-	return int64(n)*(4*w8+4) + (64 << 10)
+	return int64(n)*(4*w8+4) + (64 << 10) + w8*(4<<10)
 }
 
 // Submit runs one request through admission, the queue, and an

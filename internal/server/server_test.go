@@ -117,7 +117,7 @@ func TestSubmitSpillsOverBudgetRequest(t *testing.T) {
 	s := New(cfg)
 	defer drainOK(t, s)
 
-	const n = 16384 // est ≈ 36·n + 64 KiB, well past the 256 KiB ledger
+	const n = 16384 // est ≈ 36·n + 96 KiB, well past the 256 KiB ledger
 	keys := randKeys(n, 99)
 	vals := make([]uint64, n)
 	for i, k := range keys {
@@ -632,6 +632,35 @@ func TestSubmitKeyOnlyAllocs(t *testing.T) {
 	perReq := (after.TotalAlloc - before.TotalAlloc) / runs
 	if perReq >= n*8/4 {
 		t.Fatalf("a %d-key key-only Submit allocated %d bytes; a payload column is %d", n, perReq, n*8)
+	}
+}
+
+// TestSubmitSmallRequestsRunClean pins estAux to the kernels' fixed
+// footprint: a lone request of any size, width and algorithm finishes on
+// its first attempt instead of failing its ledger cap and degrading onto
+// the in-place fallback, and the ledger settles to zero.
+func TestSubmitSmallRequestsRunClean(t *testing.T) {
+	s := New(testConfig())
+	for _, algo := range []partsort.Algorithm{partsort.LSB, partsort.MSB, partsort.CMP} {
+		for _, width := range []int{32, 64} {
+			for _, n := range []int{1, 2, 16, 64, 128, 255, 256, 512, 4096} {
+				req, _ := coalesceReq{width: width}.request(n, int64(n))
+				req.Algo = algo
+				res, err := s.Submit(context.Background(), req)
+				if err != nil {
+					t.Fatalf("%v/%d-bit/n=%d: Submit: %v", algo, width, n, err)
+				}
+				if res.Attempts != 1 || res.Degraded {
+					t.Errorf("%v/%d-bit/n=%d: Attempts %d, Stage %d, Degraded %v; want one clean attempt",
+						algo, width, n, res.Attempts, res.Stage, res.Degraded)
+				}
+				checkSorted(t, keyColumn(req))
+			}
+		}
+	}
+	drainOK(t, s)
+	if got := s.PendingAuxBytes(); got != 0 {
+		t.Fatalf("ledger holds %d bytes after drain", got)
 	}
 }
 

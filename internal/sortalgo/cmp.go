@@ -80,15 +80,18 @@ func cmpRun[K kv.Key](keys, vals, tmpK, tmpV []K, opt Options) {
 	c := opt.regions()
 	t := opt.Threads
 
-	// Pass 1: global splitters, then region-local partition + shuffle.
-	var ref splitter.Refined[K]
-	var tree *rangeidx.Tree[K]
+	// Pass 1: global splitters, then region-local partition + shuffle. The
+	// delimiters stay leased through the recursion, which reads its
+	// single-key partitions off them; the tree goes back to the pool for
+	// the recursion's workers once the first pass is done.
+	var delims []K
+	tree := ws.Scratch[rangeidx.Tree[K]](w, ws.SlotRangeTree)
 	timed(st, "cmp", phHistogram, func() {
-		sampled := splitter.ForThreads(keys, opt.RangeFanout, opt.Seed)
-		ref = splitter.RefineDuplicates(sampled)
-		tree = rangeidx.NewTreeFor(ref.Delims)
+		delims = cmpSplitters(w, keys, min(64*opt.RangeFanout, n), opt.RangeFanout, opt.Seed)
+		tree.Reset(delims)
 	})
-	fanout := len(ref.Delims) + 1
+	defer ws.PutKeys(w, delims)
+	fanout := len(delims) + 1
 	fn := treeBatchFunc[K]{tree, fanout}
 
 	if tmpK == nil {
@@ -107,7 +110,8 @@ func cmpRun[K kv.Key](keys, vals, tmpK, tmpV []K, opt Options) {
 			part.BlockPermutePartitionCtl(w, keys, vals, fn, cmpBlockTuples(n, fanout, t), t, starts, ctl)
 		})
 		pass0.EndN(int64(n))
-		cmpRecurseAll[K](keys, vals, nil, nil, starts, ref.SingleKey, true, opt, ct)
+		ws.PutScratch(w, ws.SlotRangeTree, tree)
+		cmpRecurseAll[K](keys, vals, nil, nil, starts, delims, true, opt, ct)
 		w.PutInts(starts)
 		if st != nil {
 			st.Passes++
@@ -140,8 +144,9 @@ func cmpRun[K kv.Key](keys, vals, tmpK, tmpV []K, opt Options) {
 		w.PutInts(merged)
 		w.PutMatrix(hists)
 		w.PutInts(bounds)
+		ws.PutScratch(w, ws.SlotRangeTree, tree)
 		// Data is in tmp; recursion delivers results back into keys.
-		cmpRecurseAll(tmpK, tmpV, keys, vals, starts, ref.SingleKey, false, opt, ct)
+		cmpRecurseAll(tmpK, tmpV, keys, vals, starts, delims, false, opt, ct)
 		w.PutInts(starts)
 		if st != nil {
 			st.Passes++
@@ -255,6 +260,7 @@ func cmpRun[K kv.Key](keys, vals, tmpK, tmpV []K, opt Options) {
 		})
 	})
 	inShuffle = false
+	ws.PutScratch(w, ws.SlotRangeTree, tree)
 	w.PutMatrix(perRegion)
 	w.PutMatrix(dstOff)
 	pass0.EndN(int64(n))
@@ -267,7 +273,7 @@ func cmpRun[K kv.Key](keys, vals, tmpK, tmpV []K, opt Options) {
 
 	// Recursion: data is in keys (post-shuffle); results must stay in
 	// keys, scratch is tmp.
-	cmpRecurseAll(keys, vals, tmpK, tmpV, starts, ref.SingleKey, true, opt, ct)
+	cmpRecurseAll(keys, vals, tmpK, tmpV, starts, delims, true, opt, ct)
 	w.PutInts(starts)
 }
 
@@ -278,7 +284,7 @@ func cmpRun[K kv.Key](keys, vals, tmpK, tmpV []K, opt Options) {
 type cmpWorker[K kv.Key] struct {
 	xK, xV, yK, yV []K
 	starts         []int
-	singleKey      []bool
+	delims         []K // the top-level delimiters, for splitter.SingleKey
 	wantInX        bool
 	opt            Options
 	ct             int
@@ -295,7 +301,11 @@ func (r *cmpWorker[K]) RunTask(wi int) {
 	w := r.opt.Workspace
 	sp := obs.BeginIn("cmp", "cmp-recurse", "worker", wi)
 	var done int64
-	cs := getCombSorter[K](w, r.ct+r.ct/2)
+	l := &cmpLocal[K]{
+		cs:   getCombSorter[K](w, r.ct+r.ct/2),
+		tree: ws.Scratch[rangeidx.Tree[K]](w, ws.SlotRangeTree),
+		opt:  r.opt, ct: r.ct, passNs: &r.passNs, leafNs: &r.leafNs,
+	}
 	nq := int64(len(r.starts) - 1)
 	for {
 		q := r.next.Add(1) - 1
@@ -309,8 +319,7 @@ func (r *cmpWorker[K]) RunTask(wi int) {
 		if hi-lo == 0 {
 			continue
 		}
-		single := int(q) < len(r.singleKey) && r.singleKey[q]
-		if single || hi-lo == 1 {
+		if splitter.SingleKey(r.delims, int(q)) || hi-lo == 1 {
 			if !r.wantInX {
 				copy(r.yK[lo:hi], r.xK[lo:hi])
 				copy(r.yV[lo:hi], r.xV[lo:hi])
@@ -326,16 +335,29 @@ func (r *cmpWorker[K]) RunTask(wi int) {
 			// its destination is x.
 			sk := ws.Keys[K](w, hi-lo)
 			sv := ws.Keys[K](w, hi-lo)
-			cmpRecurse(r.xK[lo:hi], r.xV[lo:hi], sk, sv, true, cs, r.opt, r.ct, &r.passNs, &r.leafNs)
+			cmpRecurse(r.xK[lo:hi], r.xV[lo:hi], sk, sv, true, l)
 			ws.PutKeys(w, sk)
 			ws.PutKeys(w, sv)
 		} else {
-			cmpRecurse(r.xK[lo:hi], r.xV[lo:hi], r.yK[lo:hi], r.yV[lo:hi], r.wantInX, cs, r.opt, r.ct, &r.passNs, &r.leafNs)
+			cmpRecurse(r.xK[lo:hi], r.xV[lo:hi], r.yK[lo:hi], r.yV[lo:hi], r.wantInX, l)
 		}
 		done += int64(hi - lo)
 	}
-	putCombSorter(w, cs)
+	putCombSorter(w, l.cs)
+	ws.PutScratch(w, ws.SlotRangeTree, l.tree)
 	sp.EndN(done)
+}
+
+// cmpLocal is one recursion worker's state: the comb sorter of its
+// leaves, the range tree every node rebuilds in place (a node's tree is
+// dead once its scatter is done, so one per worker serves every node),
+// and the run's options and time accumulators.
+type cmpLocal[K kv.Key] struct {
+	cs             *CombSorter[K]
+	tree           *rangeidx.Tree[K]
+	opt            Options
+	ct             int
+	passNs, leafNs *atomic.Int64
 }
 
 // cmpRecurseAll distributes the top-level partitions over the worker pool.
@@ -344,7 +366,7 @@ func (r *cmpWorker[K]) RunTask(wi int) {
 // separately and the measured wall clock of the whole recursion is split
 // proportionally between the LocalRadix (range passes) and CacheSort
 // phases.
-func cmpRecurseAll[K kv.Key](xK, xV, yK, yV []K, starts []int, singleKey []bool, wantInX bool, opt Options, ct int) {
+func cmpRecurseAll[K kv.Key](xK, xV, yK, yV []K, starts []int, delims []K, wantInX bool, opt Options, ct int) {
 	st := opt.Stats
 	w := opt.Workspace
 	ctl := opt.Ctl
@@ -377,7 +399,7 @@ func cmpRecurseAll[K kv.Key](xK, xV, yK, yV []K, starts []int, singleKey []bool,
 	begin := time.Now()
 	r := ws.Scratch[cmpWorker[K]](w, ws.SlotCmpWork)
 	r.xK, r.xV, r.yK, r.yV = xK, xV, yK, yV
-	r.starts, r.singleKey, r.wantInX = starts, singleKey, wantInX
+	r.starts, r.delims, r.wantInX = starts, delims, wantInX
 	r.opt, r.ct = opt, ct
 	r.claimed = claimed
 	r.next.Store(0)
@@ -386,7 +408,7 @@ func cmpRecurseAll[K kv.Key](xK, xV, yK, yV []K, starts []int, singleKey []bool,
 	ws.RunWorkersCtl(w, opt.Threads, r, ctl)
 	p, l := r.passNs.Load(), r.leafNs.Load()
 	r.xK, r.xV, r.yK, r.yV = nil, nil, nil, nil
-	r.starts, r.singleKey = nil, nil
+	r.starts, r.delims = nil, nil
 	r.claimed = nil
 	r.opt = Options{}
 	ws.PutScratch(w, ws.SlotCmpWork, r)
@@ -398,8 +420,9 @@ func cmpRecurseAll[K kv.Key](xK, xV, yK, yV []K, starts []int, singleKey []bool,
 }
 
 // cmpRecurse sorts one segment: data in x, scratch y, result in x when
-// wantInX else in y. Codes, histogram, and offsets come from the
-// workspace; only the adaptive splitter sampling still allocates.
+// wantInX else in y. The sample, delimiters, codes, histogram and offsets
+// come from the workspace and the range tree from l, so a warm run
+// allocates nothing per node.
 //
 // Unwind contract: whenever cmpRecurse unwinds from a panic or bail, the
 // segment's DESTINATION side holds a permutation of the segment's tuples.
@@ -411,10 +434,10 @@ func cmpRecurseAll[K kv.Key](xK, xV, yK, yV []K, starts []int, singleKey []bool,
 // tail still sits in y — so when the destination is x, the tail is copied
 // back from y. The in-place comb-sort leaf has no interruption points, so
 // it is never left half-merged by a checkpoint or fault site.
-func cmpRecurse[K kv.Key](xK, xV, yK, yV []K, wantInX bool, cs *CombSorter[K], opt Options, ct int, passNs, leafNs *atomic.Int64) {
+func cmpRecurse[K kv.Key](xK, xV, yK, yV []K, wantInX bool, l *cmpLocal[K]) {
 	n := len(xK)
-	w := opt.Workspace
-	ctl := opt.Ctl
+	w := l.opt.Workspace
+	ctl := l.opt.Ctl
 	scattered := false
 	safeLo := 0          // destination prefix [0, safeLo) already correct
 	subLo, subHi := 0, 0 // in-flight recursive sub-range (repairs itself)
@@ -438,49 +461,71 @@ func cmpRecurse[K kv.Key](xK, xV, yK, yV []K, wantInX bool, cs *CombSorter[K], o
 	}()
 	ctl.Checkpoint()
 	fault.Inject(fault.SiteCMPPass)
-	if n <= ct {
+	if n <= l.ct {
 		start := time.Now()
 		if wantInX {
-			cs.SortInto(xK, xV, xK, xV)
+			l.cs.SortInto(xK, xV, xK, xV)
 		} else {
-			cs.SortInto(xK, xV, yK, yV)
+			l.cs.SortInto(xK, xV, yK, yV)
 		}
-		leafNs.Add(int64(time.Since(start)))
+		l.leafNs.Add(int64(time.Since(start)))
 		return
 	}
 	start := time.Now()
-	sampled := splitter.ForThreads(xK, opt.RangeFanout, opt.Seed+uint64(n))
-	ref := splitter.RefineDuplicates(sampled)
-	tree := rangeidx.NewTreeFor(ref.Delims)
-	fanout := len(ref.Delims) + 1
+	p := l.opt.RangeFanout
+	delims := cmpSplitters(w, xK, cmpNodeSamples(n, p), p, l.opt.Seed+uint64(n))
+	l.tree.Reset(delims)
+	fanout := len(delims) + 1
 	codes := w.Int32s(n)
-	hist := part.HistogramCodesBatchInto(w.Ints(fanout), xK, tree, codes)
+	hist := part.HistogramCodesBatchInto(w.Ints(fanout), xK, l.tree, codes)
 	starts, _ := part.StartsInto(w.Ints(fanout), hist)
 	part.NonInPlaceOutOfCacheCodesCtlWS(w, xK, xV, yK, yV, codes, fanout, starts, ctl)
 	scattered = true
 	w.PutInt32s(codes)
 	w.PutInts(starts)
-	passNs.Add(int64(time.Since(start)))
+	l.passNs.Add(int64(time.Since(start)))
 	lo := 0
 	for q, h := range hist {
 		if h > 0 {
-			single := (q < len(ref.SingleKey) && ref.SingleKey[q]) || h == 1
-			if single {
+			if splitter.SingleKey(delims, q) || h == 1 {
 				if wantInX {
 					start := time.Now()
 					copy(xK[lo:lo+h], yK[lo:lo+h])
 					copy(xV[lo:lo+h], yV[lo:lo+h])
-					passNs.Add(int64(time.Since(start)))
+					l.passNs.Add(int64(time.Since(start)))
 				}
 			} else {
 				subLo, subHi = lo, lo+h
-				cmpRecurse(yK[lo:lo+h], yV[lo:lo+h], xK[lo:lo+h], xV[lo:lo+h], !wantInX, cs, opt, ct, passNs, leafNs)
+				cmpRecurse(yK[lo:lo+h], yV[lo:lo+h], xK[lo:lo+h], xV[lo:lo+h], !wantInX, l)
 			}
 		}
 		lo += h
 		safeLo, subLo, subHi = lo, lo, lo
 	}
 	w.PutInts(hist)
+	ws.PutKeys(w, delims)
+}
+
+// cmpNodeSamples sizes a recursion node's splitter sample: an eighth of
+// the node's n tuples, at least two per bucket of the p-way split (a key
+// that fills a bucket is then sampled twice and refined into a
+// single-key partition), and at most the 64 per bucket the top level
+// draws. A constant 64·p would exceed the node itself once nodes shrink
+// below about 23K tuples, so the recursion would sample about as many
+// keys as it sorts; scaling the oversampling to the subproblem follows
+// Axtmann et al.'s in-place sample sort.
+func cmpNodeSamples(n, p int) int {
+	return min(max(n/8, 2*p), 64*p, n)
+}
+
+// cmpSplitters draws samples keys from keys and returns the refined
+// equal-depth delimiters of a p-way split, leased from the workspace
+// (return them with ws.PutKeys); the sample itself is scratch.
+func cmpSplitters[K kv.Key](w *ws.Workspace, keys []K, samples, p int, seed uint64) []K {
+	s := splitter.SampleInto(ws.Keys[K](w, samples), keys, seed)
+	delims, _ := splitter.RefineDuplicates(splitter.EqualDepthInto(ws.Keys[K](w, p-1), s, p))
+	ws.PutKeys(w, s)
+	return delims
 }
 
 // cmpBlockTuples sizes the block-permutation pass's block for CMP's wide

@@ -7,6 +7,10 @@ import (
 	"repro/internal/gen"
 	"repro/internal/kv"
 	"repro/internal/numa"
+	"repro/internal/obs"
+	"repro/internal/rangeidx"
+	"repro/internal/splitter"
+	"repro/internal/ws"
 )
 
 func runCMP32(t *testing.T, orig []uint32, opt Options) {
@@ -103,5 +107,79 @@ func TestCMPQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCMPSplitterSampleVolume bounds the splitter sampling of the
+// recursion: each recursion node sizes its sample to the node, so a run
+// whose 360 top-level partitions all recurse draws far fewer keys than it
+// sorts (a fixed 64-per-bucket sample per node would draw about n), on
+// both layouts.
+func TestCMPSplitterSampleVolume(t *testing.T) {
+	n := 1 << 20
+	orig := gen.Uniform[uint32](n, 0, 17)
+	for _, inPlace := range []bool{false, true} {
+		keys := append([]uint32(nil), orig...)
+		vals := gen.RIDs[uint32](n)
+		var tmpK, tmpV []uint32
+		if !inPlace {
+			tmpK, tmpV = make([]uint32, n), make([]uint32, n)
+		}
+		s := obs.Start(nil)
+		CMP(keys, vals, tmpK, tmpV, Options{Threads: 2, CacheTuples: 1024})
+		drawn := s.Counters.SplitterSamples.Load()
+		_ = obs.Stop()
+		if !kv.IsSorted(keys) {
+			t.Fatalf("in-place=%v: not sorted", inPlace)
+		}
+		if drawn > uint64(n/3) {
+			t.Fatalf("in-place=%v: drew %d splitter samples for %d keys (%.2f·n), want <= n/3",
+				inPlace, drawn, n, float64(drawn)/float64(n))
+		}
+	}
+}
+
+// TestCMPNodeSplittersIsolateHeavyKeys pins duplicate refinement at the
+// recursion level under the node-sized sample: a key holding a tenth of
+// a node gets a single-key partition, whatever the node's size.
+func TestCMPNodeSplittersIsolateHeavyKeys(t *testing.T) {
+	const p, heavy = 360, 1 << 20
+	for _, n := range []int{1500, 3000, 23000, 200000} {
+		keys := gen.Uniform[uint32](n, 0, uint64(n))
+		for i := 0; i < n; i += 10 {
+			keys[i] = heavy
+		}
+		delims := cmpSplitters(nil, keys, cmpNodeSamples(n, p), p, uint64(n))
+		q := rangeidx.Search(delims, heavy)
+		if !splitter.SingleKey(delims, q) {
+			t.Fatalf("n=%d: heavy key's partition %d is not single-key", n, q)
+		}
+	}
+}
+
+// TestCMPRecursionAllocs pins the recursion's per-node scratch (sample,
+// delimiters, codes, histogram, range tree) as pooled: a warm sort makes
+// the same few allocations whether the recursion has 40, 360 or 1640
+// nodes.
+func TestCMPRecursionAllocs(t *testing.T) {
+	w := ws.New()
+	defer w.Close()
+	n := 1 << 20
+	keys := gen.Uniform[uint32](n, 0, 5)
+	vals := gen.RIDs[uint32](n)
+	tmpK, tmpV := make([]uint32, n), make([]uint32, n)
+	work := make([]uint32, n)
+	for _, c := range []struct{ fanout, ct, nodes int }{
+		{40, 1024, 40}, {360, 1024, 360}, {40, 256, 1640},
+	} {
+		opt := Options{Threads: 2, RangeFanout: c.fanout, CacheTuples: c.ct, Workspace: w}
+		sortOnce := func() {
+			copy(work, keys)
+			CMP(work, vals, tmpK, tmpV, opt)
+		}
+		sortOnce() // warm the arena
+		if a := testing.AllocsPerRun(3, sortOnce); a > 4 {
+			t.Fatalf("%d recursion nodes: warm CMP allocates %v times per sort, want <= 4", c.nodes, a)
+		}
 	}
 }

@@ -85,8 +85,7 @@ func lsbRun[K kv.Key](keys, vals, tmpK, tmpV []K, opt Options) {
 	rangeTarget := min(4*c, maxRegDelims+1)
 	var fn1 rangeRadix[K]
 	timed(st, "lsb", phHistogram, func() {
-		ref := splitter.RefineDuplicates(splitter.ForThreads(keys, rangeTarget, opt.Seed))
-		delims := ref.Delims
+		delims, _ := splitter.RefineDuplicates(splitter.ForThreads(keys, rangeTarget, opt.Seed))
 		if len(delims) > maxRegDelims {
 			delims = delims[:maxRegDelims]
 		}

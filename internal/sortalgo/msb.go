@@ -95,13 +95,12 @@ func msbRun[K kv.Key](keys, vals []K, opt Options) {
 	if topBits < 1 {
 		topBits = 1
 	}
-	var ref splitter.Refined[K]
+	var delims []K
 	var fn treeBatchFunc[K]
 	timed(st, "msb", phHistogram, func() {
 		sampled := splitter.ForThreads(keys, t, opt.Seed)
-		delims := splitter.Union(sampled, splitter.RadixBoundaries[K](topBits))
-		ref = splitter.RefineDuplicates(delims)
-		fn = treeBatchFunc[K]{rangeidx.NewTreeFor(ref.Delims), len(ref.Delims) + 1}
+		delims, _ = splitter.RefineDuplicates(splitter.Union(sampled, splitter.RadixBoundaries[K](topBits)))
+		fn = treeBatchFunc[K]{rangeidx.NewTreeFor(delims), len(delims) + 1}
 	})
 
 	// Steps 2+3: fan the keys out into per-range contiguous segments. The
@@ -167,12 +166,12 @@ func msbRun[K kv.Key](keys, vals []K, opt Options) {
 		w := opt.Workspace
 		r := ws.Scratch[msbWorker[K]](w, ws.SlotMsbWork)
 		r.w, r.keys, r.vals = w, keys, vals
-		r.starts, r.singleKey = starts, ref.SingleKey
+		r.starts, r.delims = starts, delims
 		r.hiBit, r.ct, r.nq = hiBit, ct, fn.Fanout()
 		r.ctl = ctl
 		r.next.Store(0)
 		ws.RunWorkersCtl(w, t, r, ctl)
-		r.w, r.keys, r.vals, r.starts, r.singleKey = nil, nil, nil, nil, nil
+		r.w, r.keys, r.vals, r.starts, r.delims = nil, nil, nil, nil, nil
 		r.ctl = nil
 		ws.PutScratch(w, ws.SlotMsbWork, r)
 	})
@@ -188,7 +187,7 @@ type msbWorker[K kv.Key] struct {
 	w          *ws.Workspace
 	keys, vals []K
 	starts     []int
-	singleKey  []bool
+	delims     []K // the first pass's delimiters, for splitter.SingleKey
 	hiBit, ct  int
 	nq         int
 	ctl        *hard.Ctl
@@ -207,7 +206,7 @@ func (r *msbWorker[K]) RunTask(wi int) {
 		if seg <= 1 {
 			continue
 		}
-		if q < len(r.singleKey) && r.singleKey[q] {
+		if splitter.SingleKey(r.delims, q) {
 			continue // single-key partition: already sorted
 		}
 		msbRecurse(r.w, r.keys[r.starts[q]:r.starts[q+1]], r.vals[r.starts[q]:r.starts[q+1]], r.hiBit, r.ct, r.ctl)

@@ -9,7 +9,7 @@
 package splitter
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/gen"
 	"repro/internal/kv"
@@ -22,15 +22,20 @@ func Sample[K kv.Key](keys []K, size int, seed uint64) []K {
 	if len(keys) == 0 || size <= 0 {
 		return nil
 	}
+	return SampleInto(make([]K, size), keys, seed)
+}
+
+// SampleInto is Sample drawing len(dst) keys into dst, which it returns.
+// keys must not be empty unless dst is.
+func SampleInto[K kv.Key](dst, keys []K, seed uint64) []K {
 	r := gen.NewRNG(seed)
-	s := make([]K, size)
-	for i := range s {
-		s[i] = keys[r.Uint64n(uint64(len(keys)))]
+	for i := range dst {
+		dst[i] = keys[r.Uint64n(uint64(len(keys)))]
 	}
 	if o := obs.Cur(); o != nil {
-		o.Counters.SplitterSamples.Add(uint64(size))
+		o.Counters.SplitterSamples.Add(uint64(len(dst)))
 	}
-	return s
+	return dst
 }
 
 // EqualDepth extracts p-1 delimiters from the sample that split it into p
@@ -42,16 +47,20 @@ func EqualDepth[K kv.Key](sample []K, p int) []K {
 	if p == 1 || len(sample) == 0 {
 		return nil
 	}
-	sort.Slice(sample, func(i, j int) bool { return sample[i] < sample[j] })
-	delims := make([]K, p-1)
+	return EqualDepthInto(make([]K, p-1), sample, p)
+}
+
+// EqualDepthInto is EqualDepth for p >= 2 and a non-empty sample, writing
+// the delimiters into dst[:p-1], which it returns. The sample is sorted in
+// place; its sorted order is unique, so the delimiters depend only on the
+// sample's multiset.
+func EqualDepthInto[K kv.Key](dst, sample []K, p int) []K {
+	slices.Sort(sample)
+	dst = dst[:p-1]
 	for i := 1; i < p; i++ {
-		idx := i * len(sample) / p
-		if idx >= len(sample) {
-			idx = len(sample) - 1
-		}
-		delims[i-1] = sample[idx]
+		dst[i-1] = sample[min(i*len(sample)/p, len(sample)-1)]
 	}
-	return delims
+	return dst
 }
 
 // ForThreads samples keys and returns p-1 equal-depth delimiters; the usual
@@ -64,72 +73,66 @@ func ForThreads[K kv.Key](keys []K, p int, seed uint64) []K {
 	return EqualDepth(Sample(keys, sampleSize, seed), p)
 }
 
-// Refined is the result of duplicate refinement: delimiters with duplicates
-// collapsed into single-key partitions.
-type Refined[K kv.Key] struct {
-	Delims []K
-	// SingleKey[p] reports that partition p contains exactly one distinct
-	// key (a hot key isolated by the refinement); such partitions need no
-	// recursive sorting.
-	SingleKey []bool
-	// Discarded is the number of duplicate delimiters dropped; callers may
-	// switch to a smaller range index when too many are discarded.
-	Discarded int
-}
-
-// RefineDuplicates applies the paper's good-splitting rule: when a value X
-// is sampled two or more times as a delimiter, the skew on X is heavy
-// enough that keys equal to X could overflow an in-cache part, so X gets a
-// partition of its own. With this package's half-open semantics the
-// single-key partition [X, X+1) is produced by the delimiter pair (X, X+1);
-// when X is the maximum representable key the open last partition [X, +inf)
-// is already single-key and only X itself is kept.
-// (The paper phrases the same construction as the pair (X-1, X] under its
-// inclusive-upper-bound convention.)
-func RefineDuplicates[K kv.Key](delims []K) Refined[K] {
-	var out []K
-	var singleAfter []K // values X whose partition [X, X+1) is single-key
-	discarded := 0
+// RefineDuplicates applies the paper's good-splitting rule to sorted
+// delimiters, in place: when a value X is sampled two or more times as a
+// delimiter, the skew on X is heavy enough that keys equal to X could
+// overflow an in-cache part, so X gets a partition of its own. With this
+// package's half-open semantics the single-key partition [X, X+1) is
+// produced by the delimiter pair (X, X+1); when X is the maximum
+// representable key the open last partition [X, +inf) is already
+// single-key and only X itself is kept. (The paper phrases the same
+// construction as the pair (X-1, X] under its inclusive-upper-bound
+// convention.) It returns the refined delimiters — strictly increasing, a
+// prefix of delims — and how many duplicates were dropped; SingleKey
+// reports which of their partitions need no sorting.
+func RefineDuplicates[K kv.Key](delims []K) (refined []K, discarded int) {
+	// A run of j-i >= 2 copies writes at most two values, so the write
+	// cursor never overtakes the read cursor.
+	out := delims[:0]
 	for i := 0; i < len(delims); {
-		j := i
-		for j < len(delims) && delims[j] == delims[i] {
+		x := delims[i]
+		j := i + 1
+		for j < len(delims) && delims[j] == x {
 			j++
 		}
-		x := delims[i]
+		out = appendNew(out, x, &discarded)
 		if j-i >= 2 {
 			discarded += j - i - 2
-			out = append(out, x)
 			if x != kv.MaxKey[K]() {
-				out = append(out, x+1)
+				out = appendNew(out, x+1, &discarded)
 			} else {
 				discarded++ // the pair collapses; [max, +inf) is single-key
 			}
-			singleAfter = append(singleAfter, x)
-		} else {
-			out = append(out, x)
 		}
 		i = j
 	}
-	// Deduplicate boundary collisions introduced by the +1 (e.g. delims
-	// ..., X, X, X+1, ... produce X, X+1, X+1).
-	dedup := out[:0]
-	for i, v := range out {
-		if i == 0 || v != dedup[len(dedup)-1] {
-			dedup = append(dedup, v)
-		} else {
-			discarded++
-		}
+	return out, discarded
+}
+
+// appendNew appends v to the strictly increasing out unless it repeats
+// the last value (a synthesized X+1 colliding with the next delimiter X+1),
+// which it counts as discarded.
+func appendNew[K kv.Key](out []K, v K, discarded *int) []K {
+	if len(out) > 0 && out[len(out)-1] == v {
+		*discarded++
+		return out
 	}
-	out = dedup
-	single := make([]bool, len(out)+1)
-	for _, x := range singleAfter {
-		// Partition starting at delimiter x is single-key.
-		p := sort.Search(len(out), func(i int) bool { return out[i] >= x })
-		if p < len(out) && out[p] == x {
-			single[p+1] = true
-		}
+	return append(out, v)
+}
+
+// SingleKey reports that partition q of strictly increasing delimiters
+// can hold only one distinct key, so it needs no sorting: its range is
+// [X, X+1) (the pair RefineDuplicates makes for a heavy key X), or the
+// open last range [max, +inf).
+func SingleKey[K kv.Key](delims []K, q int) bool {
+	switch {
+	case q <= 0 || q > len(delims):
+		return false
+	case q == len(delims):
+		return delims[q-1] == kv.MaxKey[K]()
+	default:
+		return delims[q]-delims[q-1] == 1
 	}
-	return Refined[K]{Delims: out, SingleKey: single, Discarded: discarded}
 }
 
 // RadixBoundaries returns the 2^bits - 1 delimiters at the boundaries of

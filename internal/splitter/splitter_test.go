@@ -1,7 +1,7 @@
 package splitter
 
 import (
-	"sort"
+	"slices"
 	"testing"
 
 	"repro/internal/gen"
@@ -67,63 +67,66 @@ func TestEqualDepthEdgeCases(t *testing.T) {
 func TestRefineDuplicatesIsolatesHotKey(t *testing.T) {
 	// Delimiter 42 sampled three times: heavy skew on 42.
 	delims := []uint32{10, 42, 42, 42, 90}
-	r := RefineDuplicates(delims)
+	r, discarded := RefineDuplicates(delims)
 	want := []uint32{10, 42, 43, 90}
-	if len(r.Delims) != len(want) {
-		t.Fatalf("Delims = %v", r.Delims)
+	if len(r) != len(want) {
+		t.Fatalf("Delims = %v", r)
 	}
 	for i := range want {
-		if r.Delims[i] != want[i] {
-			t.Fatalf("Delims = %v, want %v", r.Delims, want)
+		if r[i] != want[i] {
+			t.Fatalf("Delims = %v, want %v", r, want)
 		}
 	}
-	if r.Discarded != 1 {
-		t.Fatalf("Discarded = %d", r.Discarded)
+	if discarded != 1 {
+		t.Fatalf("Discarded = %d", discarded)
 	}
 	// Partition [42,43) must be flagged single-key. With delims
-	// (10,42,43,90): partition index of key 42 is 2.
-	p := rangeidx.Search(r.Delims, 42)
-	if !r.SingleKey[p] {
-		t.Fatalf("partition %d not flagged single-key; flags=%v", p, r.SingleKey)
+	// (10,42,43,90): partition index of key 42 is 2, and no other
+	// partition is single-key.
+	p := rangeidx.Search(r, 42)
+	for q := 0; q <= len(r); q++ {
+		if SingleKey(r, q) != (q == p) {
+			t.Fatalf("SingleKey(%d) = %v; the single-key partition is %d", q, SingleKey(r, q), p)
+		}
 	}
 	// All keys equal to 42 land in that partition and nothing else does.
-	if rangeidx.Search(r.Delims, 41) == p || rangeidx.Search(r.Delims, 43) == p {
+	if rangeidx.Search(r, 41) == p || rangeidx.Search(r, 43) == p {
 		t.Fatal("single-key partition contains neighbors")
 	}
 }
 
 func TestRefineDuplicatesMaxKey(t *testing.T) {
 	m := ^uint32(0)
-	r := RefineDuplicates([]uint32{5, m, m})
-	if len(r.Delims) != 2 || r.Delims[1] != m {
-		t.Fatalf("Delims = %v", r.Delims)
+	r, _ := RefineDuplicates([]uint32{5, m, m})
+	if len(r) != 2 || r[1] != m {
+		t.Fatalf("Delims = %v", r)
 	}
-	p := rangeidx.Search(r.Delims, m)
-	if !r.SingleKey[p] {
+	p := rangeidx.Search(r, m)
+	if !SingleKey(r, p) {
 		t.Fatal("open last partition [max,inf) not flagged single-key")
 	}
 }
 
 func TestRefineDuplicatesAdjacent(t *testing.T) {
 	// X,X followed by X+1: the synthesized X+1 collides and is dropped.
-	r := RefineDuplicates([]uint32{7, 7, 8})
+	r, _ := RefineDuplicates([]uint32{7, 7, 8})
 	want := []uint32{7, 8}
-	if len(r.Delims) != 2 || r.Delims[0] != want[0] || r.Delims[1] != want[1] {
-		t.Fatalf("Delims = %v, want %v", r.Delims, want)
+	if len(r) != 2 || r[0] != want[0] || r[1] != want[1] {
+		t.Fatalf("Delims = %v, want %v", r, want)
 	}
-	if !kv.IsSorted(r.Delims) {
+	if !kv.IsSorted(r) {
 		t.Fatal("refined delimiters not sorted")
 	}
 }
 
 func TestRefineNoDuplicatesPassThrough(t *testing.T) {
 	delims := []uint64{1, 5, 9}
-	r := RefineDuplicates(delims)
-	if len(r.Delims) != 3 || r.Discarded != 0 {
-		t.Fatalf("unexpected refinement: %+v", r)
+	r, discarded := RefineDuplicates(delims)
+	if len(r) != 3 || discarded != 0 {
+		t.Fatalf("unexpected refinement: %v, %d discarded", r, discarded)
 	}
-	for _, s := range r.SingleKey {
-		if s {
+	for q := 0; q <= len(r); q++ {
+		if SingleKey(r, q) {
 			t.Fatal("no partition should be single-key")
 		}
 	}
@@ -147,7 +150,7 @@ func TestUnionPinsRangesInsideBuckets(t *testing.T) {
 	// After the union, every range must lie inside one top-bits bucket:
 	// consecutive delimiters never straddle a boundary.
 	sampled := gen.Uniform[uint32](31, 0, 3)
-	sort.Slice(sampled, func(i, j int) bool { return sampled[i] < sampled[j] })
+	slices.Sort(sampled)
 	bounds := RadixBoundaries[uint32](3)
 	u := Union(sampled, bounds)
 	if !kv.IsSorted(u) {

@@ -553,6 +553,7 @@ const (
 	SlotCmpWork
 	SlotMsbWork
 	SlotCombSorter
+	SlotRangeTree
 	SlotCtl
 	SlotBlockPerm
 	SlotExtSort
