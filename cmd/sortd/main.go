@@ -63,22 +63,12 @@ func run() int {
 		spillSegment = flag.Int("spill-segment", 0, "external-sort segment tuples override (0: planned)")
 		tenantCap    = flag.Int("tenant-cap", 0, "per-tenant admitted-request cap (0: uncapped)")
 		batchMax     = flag.Int("batch-max", 4096, "coalesce key-only requests up to this many keys (negative: disable)")
-		autotune     = flag.Bool("autotune", false, "engage the machine-calibrated planner per sort")
-		profilePath  = flag.String("profile", "", "machine profile JSON to load (see tunecli; empty: lazy quick calibration)")
 		drainTimeout = flag.Duration("drain-timeout", 10*time.Second, "graceful drain budget before force-cancelling running sorts")
 	)
 	flag.Parse()
 	if flag.NArg() != 0 {
 		fmt.Fprintln(os.Stderr, "sortd: unexpected arguments:", flag.Args())
 		return 2
-	}
-
-	if *profilePath != "" {
-		if _, err := partsort.LoadMachineProfile(*profilePath); err != nil {
-			fmt.Fprintln(os.Stderr, "sortd: load profile:", err)
-			return 2
-		}
-		fmt.Fprintln(os.Stderr, "sortd: machine profile loaded from", *profilePath)
 	}
 
 	// Catch the drain signals before any listener is up: a SIGTERM that
@@ -114,7 +104,6 @@ func run() int {
 		SpillSegmentTuples: *spillSegment,
 		MaxPerTenant:       *tenantCap,
 		BatchMaxTuples:     *batchMax,
-		AutoTune:           *autotune,
 	})
 
 	httpLis, err := net.Listen("tcp", *addr)

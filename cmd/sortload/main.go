@@ -18,7 +18,7 @@
 //
 // The -out report is benchjson-schema JSON, so cmd/benchdiff can gate
 // latency regressions between recordings; -append merges the results
-// into an existing report (BENCH_PR9.json carries the AutoTune family
+// into an existing report (BENCH_PR9.json carries the kernel benchmarks
 // plus these latency records).
 //
 // With -large-n set, roughly one request in -large-every carries that

@@ -34,7 +34,7 @@ type SpillPlan = tune.SpillPlan
 // spill at all and, if so, the segment, fanout, line, block, and merge
 // shape plus the peak resident footprint MemBytes.
 func PlanSpill(n, keyBits int, maxAux int64) SpillPlan {
-	return tune.PlanSpill(n, keyBits, maxAux, nil)
+	return tune.PlanSpill(n, keyBits, maxAux)
 }
 
 // SortExternal sorts (keys, vals) by key even when the working set
@@ -86,23 +86,18 @@ func SortExternalCtx[K Key](ctx context.Context, keys, vals []K, opt *SortOption
 // takes the in-memory path.
 func externalOptions[K Key](opt *SortOptions, n int) extsort.Options {
 	maxAux := optMaxAux(opt)
-	var prof *tune.MachineProfile
-	threads, radixBits := 1, 0
-	eo := extsort.Options{}
+	eo := extsort.Options{Threads: 1}
 	if opt != nil {
-		prof = opt.Profile
-		threads, radixBits = opt.Threads, opt.RadixBits
+		eo.Threads = opt.Threads
 		eo.TempDir = opt.TempDir
 		eo.MaxSpillBytes = opt.MaxSpillBytes
 	}
-	plan := tune.PlanSpill(n, kv.Width[K](), maxAux, prof)
+	plan := tune.PlanSpill(n, kv.Width[K](), maxAux)
 	eo.SegmentTuples = plan.SegmentTuples
 	eo.BucketBits = plan.BucketBits
 	eo.MergeWidth = plan.MergeWidth
 	eo.LineTuples = plan.LineTuples
 	eo.BlockTuples = plan.BlockTuples
-	eo.Threads = threads
-	eo.RadixBits = radixBits
 	if opt != nil {
 		if opt.SpillSegmentTuples > 0 {
 			eo.SegmentTuples = opt.SpillSegmentTuples

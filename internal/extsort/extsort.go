@@ -62,9 +62,8 @@ type Options struct {
 	BlockTuples int
 	// MaxSpillBytes caps total reserved spill-file bytes (0: unlimited).
 	MaxSpillBytes int64
-	// Threads and RadixBits configure the in-memory chunk sorts.
-	Threads   int
-	RadixBits int
+	// Threads configures the in-memory chunk sorts.
+	Threads int
 }
 
 // Stats reports what one external sort did; the public entry points and
@@ -237,7 +236,6 @@ const (
 func sortChunk[K kv.Key](ctl *hard.Ctl, keys, vals []K, w *ws.Workspace, opt Options) {
 	sortalgo.MSB(keys, vals, sortalgo.Options{
 		Threads:   opt.Threads,
-		RadixBits: opt.RadixBits,
 		Workspace: w,
 		Ctl:       ctl,
 	})

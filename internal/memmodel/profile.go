@@ -89,7 +89,7 @@ func PaperProfile() Profile {
 		CoresPerSocket: 8,
 		SMTPerCore:     2,
 
-		// Calibrated so an interleaved random-write pass is ~75% slower
+		// Chosen so an interleaved random-write pass is ~75% slower
 		// than a local one, matching the "more than 50% slower" the paper
 		// measured on 4 regions (Section 3.3 / Figure 14).
 		NUMARemoteFactor: 2.0,
@@ -131,39 +131,6 @@ func ModernProfile() Profile {
 		NUMARemoteFactor: 1.8,
 		ScalarOpNs:       0.3,
 	}
-}
-
-// Calibrated returns a Profile whose machine-dependent cost constants come
-// from runtime measurements (internal/tune's calibration probes) instead of
-// the hard-coded 2014 evaluation platform: aggregate bandwidths, the
-// scalar-op cost, and the parallel shape are replaced, while the cache
-// geometry keeps ModernProfile's contemporary defaults (the probes measure
-// cost factors, not hardware topology). The copy bandwidth is derived as
-// the harmonic combination of read and write — a copy pays both.
-//
-// The calibrated profile keeps the analytic model (PartitionPass, Sort,
-// OptimalBits) usable on the machine the library actually runs on, which
-// is what the paper's Section 3.2 cost factors are for: predicting the
-// fanout/pass trade-off from measured machine constants.
-func Calibrated(cores int, readGBps, writeGBps, scalarOpNs float64) Profile {
-	p := ModernProfile()
-	p.Sockets = 1
-	p.CoresPerSocket = max(cores, 1)
-	p.SMTPerCore = 1
-	p.NUMARemoteFactor = 1
-	if readGBps > 0 {
-		p.ReadBW = readGBps
-	}
-	if writeGBps > 0 {
-		p.WriteBW = writeGBps
-	}
-	if p.ReadBW > 0 && p.WriteBW > 0 {
-		p.CopyBW = 1 / (1/p.ReadBW + 1/p.WriteBW)
-	}
-	if scalarOpNs > 0 {
-		p.ScalarOpNs = scalarOpNs
-	}
-	return p
 }
 
 // Threads returns the machine's hardware thread count.

@@ -102,18 +102,18 @@ type blockPermRunner[K kv.Key, F pfunc.Func[K]] struct {
 	phase                        int
 
 	// Arena-drawn per call; released by the driver.
-	bufK, bufV   []K     // workers × fanout × b buffer blocks, worker-major
-	handK, handV []K     // workers × b in-flight hand blocks
-	bufN         [][]int // workers × fanout buffer fill levels
-	slotPart     []int32 // per-slot partition label, -1 = vacant
-	codes        []int32 // workers × permBatch staged partition codes
-	gap          []int32 // slots covered by no stripe (garbage destinations)
-	bounds       []int   // slot chunk bounds, workers+1
-	wPtr         []int   // per-chunk flush cursor (slots)
-	sLo          []int   // first stripe slot per partition
-	need         []int   // per-partition claim budget (full blocks; [f] = gap)
-	handSlot     []int   // per-worker open cycle-start slot, -1 = no hand
-	handPart     []int   // per-worker hand partition (f = vacancy)
+	bufK, bufV   []K      // workers × fanout × b buffer blocks, worker-major
+	handK, handV []K      // workers × b in-flight hand blocks
+	bufN         [][]int  // workers × fanout buffer fill levels
+	slotPart     []int32  // per-slot partition label, -1 = vacant
+	codes        []int32  // workers × permBatch staged partition codes
+	gap          []int32  // slots covered by no stripe (garbage destinations)
+	bounds       []int    // slot chunk bounds, workers+1
+	wPtr         []int    // per-chunk flush cursor (slots)
+	sLo          []int    // first stripe slot per partition
+	need         []int    // per-partition claim budget (full blocks; [f] = gap)
+	handSlot     []int    // per-worker open cycle-start slot, -1 = no hand
+	handPart     []int    // per-worker hand partition (f = vacancy)
 	used         []uint64 // per-partition atomic claim counters
 
 	flushes atomic.Uint64

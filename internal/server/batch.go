@@ -80,7 +80,6 @@ func (s *Server) runBatch(b *job) {
 		Threads:     s.cfg.SortThreads,
 		Workspace:   arena.pub(),
 		MaxAuxBytes: estAux(b.n, b.width),
-		AutoTune:    s.cfg.AutoTune,
 		Retry:       s.retryPolicy(&rs),
 	}
 

@@ -89,8 +89,6 @@ type Config struct {
 	// (nil: the default policy). The per-run Stats field is managed by
 	// the server; a caller-set Stats is ignored.
 	Retry *partsort.RetryPolicy
-	// AutoTune engages the machine-calibrated planner on every sort.
-	AutoTune bool
 	// Registry receives the server metric families (nil: the process
 	// registry behind ServeMetrics). Tests pass a private registry.
 	Registry *obs.Registry
@@ -334,7 +332,9 @@ func New(cfg Config) *Server {
 // radix scatter's line buffers (32 KiB at any width), offset tables and
 // size-class rounding, and the LSB histogram, one 256-counter row per
 // radix pass — width/8 passes, 16 KiB at 32 bits and 32 KiB at 64 once
-// the arena rounds it to its size class.
+// the arena rounds it to its size class. LSB's width rule takes digits
+// wider than 8 bits only from 2^15 tuples up, where the linear terms
+// exceed the tmp pair by far more than the wider tables.
 // Deliberately conservative — the in-place paths use far less, and the
 // per-job SortOptions.MaxAuxBytes cap holds the run to this promise, so
 // an estimate below the fixed tables fails a tiny request's first attempt.
@@ -389,7 +389,7 @@ func (s *Server) Submit(ctx context.Context, req *Request) (Result, error) {
 		// plan, not the input: charge the ledger what the run will
 		// actually hold, planned against half the budget so one spilling
 		// job cannot starve the in-memory traffic.
-		plan := tune.PlanSpill(n, width, s.cfg.MaxAuxBytes/2, nil)
+		plan := tune.PlanSpill(n, width, s.cfg.MaxAuxBytes/2)
 		j.external = true
 		j.spill = spillEst(n, width, plan)
 		j.est = plan.MemBytes
@@ -591,7 +591,6 @@ func (s *Server) execute(j *job) (Result, error) {
 		Threads:     s.cfg.SortThreads,
 		Workspace:   arena.pub(),
 		MaxAuxBytes: j.est,
-		AutoTune:    s.cfg.AutoTune,
 		Retry:       s.retryPolicy(&rs),
 	}
 

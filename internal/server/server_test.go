@@ -643,7 +643,11 @@ func TestSubmitSmallRequestsRunClean(t *testing.T) {
 	s := New(testConfig())
 	for _, algo := range []partsort.Algorithm{partsort.LSB, partsort.MSB, partsort.CMP} {
 		for _, width := range []int{32, 64} {
-			for _, n := range []int{1, 2, 16, 64, 128, 255, 256, 512, 4096} {
+			// The mid sizes are cache-resident for CMP (at most
+			// sortalgo.CacheTuples), which comb-sorts them where they lie
+			// and must not lease a tmp pair it never reads.
+			mid := map[int][]int{32: {20000}, 64: {5000, 8192}}[width]
+			for _, n := range append([]int{1, 2, 16, 64, 128, 255, 256, 512, 4096}, mid...) {
 				req, _ := coalesceReq{width: width}.request(n, int64(n))
 				req.Algo = algo
 				res, err := s.Submit(context.Background(), req)

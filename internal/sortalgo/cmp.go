@@ -45,7 +45,7 @@ func cmpRun[K kv.Key](keys, vals, tmpK, tmpV []K, opt Options) {
 	st := opt.Stats
 	ctl := opt.Ctl
 	width := kv.Width[K]()
-	ct := cacheTuples(opt, width)
+	ct := CacheTuples(opt, width)
 
 	// Permutation restore on failure: only the cross-region shuffle
 	// overwrites keys before the recursion takes over, and tmp then still

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/gen"
+	"repro/internal/simd"
 )
 
 // TestCombLanesVectorEquivalence32 shows the explicit-vector formulation
@@ -120,6 +121,64 @@ func TestCombLanesSortsEachLane(t *testing.T) {
 			if keys[(v-1)*w+l] > keys[v*w+l] {
 				t.Fatalf("lane %d unsorted at vector %d", l, v)
 			}
+		}
+	}
+}
+
+// combLanes32 comb-sorts the W=4 lanes of the padded vector array.
+func combLanes32(pk, pv []uint32, nvec int) {
+	gap := nvec
+	for {
+		gap = combGap(gap)
+		swapped := false
+		limit := (nvec - gap) * 4
+		for i := 0; i < limit; i += 4 {
+			j := i + gap*4
+			x := simd.Load4x32(pk[i : i+4])
+			y := simd.Load4x32(pk[j : j+4])
+			m := x.CmpGt(y) // lanes where the pair is out of order
+			if m.Movemask() == 0 {
+				continue
+			}
+			swapped = true
+			x.Min(y).Store(pk[i : i+4])
+			x.Max(y).Store(pk[j : j+4])
+			vx := simd.Load4x32(pv[i : i+4])
+			vy := simd.Load4x32(pv[j : j+4])
+			vx.Blend(vy, m).Store(pv[i : i+4])
+			vy.Blend(vx, m).Store(pv[j : j+4])
+		}
+		if gap == 1 && !swapped {
+			return
+		}
+	}
+}
+
+// combLanes64 comb-sorts the W=2 lanes of the padded vector array.
+func combLanes64(pk, pv []uint64, nvec int) {
+	gap := nvec
+	for {
+		gap = combGap(gap)
+		swapped := false
+		limit := (nvec - gap) * 2
+		for i := 0; i < limit; i += 2 {
+			j := i + gap*2
+			x := simd.Load2x64(pk[i : i+2])
+			y := simd.Load2x64(pk[j : j+2])
+			m := x.CmpGt(y)
+			if m.Movemask() == 0 {
+				continue
+			}
+			swapped = true
+			x.Min(y).Store(pk[i : i+2])
+			x.Max(y).Store(pk[j : j+2])
+			vx := simd.Load2x64(pv[i : i+2])
+			vy := simd.Load2x64(pv[j : j+2])
+			vx.Blend(vy, m).Store(pv[i : i+2])
+			vy.Blend(vx, m).Store(pv[j : j+2])
+		}
+		if gap == 1 && !swapped {
+			return
 		}
 	}
 }

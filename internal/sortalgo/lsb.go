@@ -1,6 +1,8 @@
 package sortalgo
 
 import (
+	"math/bits"
+
 	"repro/internal/fault"
 	"repro/internal/hard"
 	"repro/internal/kv"
@@ -61,6 +63,9 @@ func lsbRun[K kv.Key](keys, vals, tmpK, tmpV []K, opt Options) {
 	domainBits := timedInt(st, "lsb", phHistogram, func() int {
 		return kv.DomainBits(keys)
 	})
+	if opt.RadixBits < 1 {
+		opt.RadixBits, _ = lsbWidth(n, domainBits)
+	}
 
 	c := opt.regions()
 	if c == 1 || opt.Oblivious {
@@ -236,6 +241,22 @@ func lsbRun[K kv.Key](keys, vals, tmpK, tmpV []K, opt Options) {
 	}
 }
 
+// lsbWidth is LSB's radix width rule when RadixBits is unset. Buffered
+// out-of-cache partitioning stays near its peak throughput up to about
+// 2^10–2^12 partitions (Section 3.2, Figure 3), while every pass costs a
+// full read and write of the data (Section 4.2.1), so wider digits pay
+// as long as the histogram tables stay small next to n: the cap is
+// log2(n)-5 bits, clamped to [8, 12]. The domain is then split into the
+// fewest passes the cap allows, and those passes share the bits evenly —
+// 64-bit keys at 2^16 tuples and up take six 11-bit passes instead of
+// eight 8-bit ones. Narrow domains get narrower digits, never more
+// passes. domainBits is at least 1, as kv.DomainBits reports.
+func lsbWidth(n, domainBits int) (radixBits, passes int) {
+	limit := min(max(bits.Len(uint(n))-1-5, 8), 12)
+	passes = (domainBits + limit - 1) / limit
+	return (domainBits + passes - 1) / passes, passes
+}
+
 // lsbLocal runs stable radix passes over bits [fromBit, domainBits) with
 // the data currently in keys/vals, leaving the result in keys/vals, using
 // this region's share of the worker budget.
@@ -245,8 +266,8 @@ func lsbLocal[K kv.Key](keys, vals, tmpK, tmpV []K, fromBit, domainBits int, opt
 
 // fusedCellBudget caps the per-worker joint-histogram cells of the fused
 // LSB path: 2^12 ints = 32 KiB, the private-cache footprint below which the
-// joint increments are effectively free. Larger joint tables (e.g. the
-// default 8-bit passes: 3 x 2^16 cells = 1.5 MiB per worker) turn every
+// joint increments are effectively free. Larger joint tables (e.g. 8-bit
+// passes: 3 x 2^16 cells = 1.5 MiB per worker) turn every
 // increment into a cache miss that costs more than the sequential per-pass
 // histogram scans they replace, so the driver falls back. On machines where
 // the scans are the bottleneck (many cores saturating memory bandwidth, the

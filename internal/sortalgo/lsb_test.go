@@ -174,3 +174,85 @@ func TestLSBQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestLSBWidthRule pins LSB's radix width rule (lsbWidth) for both key
+// widths over an n ladder, full and narrow domains, and checks on real
+// inputs that LSB runs exactly the pinned number of passes. An explicit
+// RadixBits always wins over the rule.
+func TestLSBWidthRule(t *testing.T) {
+	cases := []struct {
+		n, keyBits, domainBits int
+		bits, passes           int
+	}{
+		{2, 64, 64, 8, 8},
+		{4096, 64, 64, 8, 8},
+		{16384, 64, 64, 8, 8},
+		{32768, 64, 64, 10, 7},
+		{65536, 64, 64, 11, 6},
+		{1 << 20, 64, 64, 11, 6},
+		{1 << 23, 64, 64, 11, 6},
+		{2, 32, 32, 8, 4},
+		{4096, 32, 32, 8, 4},
+		{16384, 32, 32, 8, 4},
+		{32768, 32, 32, 8, 4},
+		{65536, 32, 32, 11, 3},
+		{1 << 20, 32, 32, 11, 3},
+		{1 << 23, 32, 32, 11, 3},
+		// Narrow domains: fewer passes, digits never wider than the cap.
+		{4096, 32, 5, 5, 1},
+		{4096, 64, 40, 8, 5},
+		{65536, 32, 16, 8, 2},
+		{65536, 64, 20, 10, 2},
+		{1 << 20, 32, 12, 12, 1},
+		{1 << 20, 32, 24, 12, 2},
+		{1 << 20, 64, 20, 10, 2},
+		{1 << 23, 32, 17, 9, 2},
+	}
+	for _, c := range cases {
+		bits, passes := lsbWidth(c.n, c.domainBits)
+		if bits != c.bits || passes != c.passes {
+			t.Errorf("n=%d %d-bit keys, %d-bit domain: lsbWidth = (%d bits, %d passes), want (%d, %d)",
+				c.n, c.keyBits, c.domainBits, bits, passes, c.bits, c.passes)
+		}
+		if c.n > 1<<16 {
+			continue
+		}
+		var got int
+		if c.keyBits == 32 {
+			got = lsbPassesOn[uint32](t, c.n, c.domainBits, 0)
+		} else {
+			got = lsbPassesOn[uint64](t, c.n, c.domainBits, 0)
+		}
+		if got != c.passes {
+			t.Errorf("n=%d %d-bit keys, %d-bit domain: LSB ran %d passes, want %d",
+				c.n, c.keyBits, c.domainBits, got, c.passes)
+		}
+	}
+	// An explicit RadixBits wins: 5-bit digits over a 16-bit domain take
+	// ceil(16/5) = 4 passes where the rule would take 2.
+	if got := lsbPassesOn[uint32](t, 1<<16, 16, 5); got != 4 {
+		t.Fatalf("explicit RadixBits 5 over a 16-bit domain should do 4 passes, did %d", got)
+	}
+}
+
+// lsbPassesOn sorts n random keys of exactly domainBits bits with LSB
+// (radixBits 0: the width rule) and returns the passes it ran, failing
+// the test if the result is not a stable sort.
+func lsbPassesOn[K kv.Key](t *testing.T, n, domainBits, radixBits int) int {
+	t.Helper()
+	keys := gen.Uniform[K](n, 0, uint64(n+domainBits))
+	mask := K(1)<<(domainBits-1) | (K(1)<<(domainBits-1) - 1)
+	for i := range keys {
+		keys[i] &= mask
+	}
+	keys[0] |= K(1) << (domainBits - 1)
+	vals := gen.RIDs[K](n)
+	var st Stats
+	LSB(keys, vals, make([]K, n), make([]K, n), Options{Threads: 1, RadixBits: radixBits, Stats: &st})
+	for i := 1; i < n; i++ {
+		if keys[i-1] > keys[i] || keys[i-1] == keys[i] && vals[i-1] > vals[i] {
+			t.Fatalf("n=%d, %d-bit domain: LSB output is not stably sorted", n, domainBits)
+		}
+	}
+	return st.Passes
+}

@@ -84,7 +84,7 @@ func msbRun[K kv.Key](keys, vals []K, opt Options) {
 	t := opt.Threads
 	if t == 1 && opt.regions() == 1 {
 		timed(st, "msb", phLocal, func() {
-			msbRecurse(opt.Workspace, keys, vals, domainBits, cacheTuples(opt, width), ctl)
+			msbRecurse(opt.Workspace, keys, vals, domainBits, CacheTuples(opt, width), ctl)
 		})
 		return
 	}
@@ -161,7 +161,7 @@ func msbRun[K kv.Key](keys, vals []K, opt Options) {
 	// boundaries pins each range inside one top-bits bucket, so recursion
 	// covers the remaining width-topBits bits (capped by the domain).
 	hiBit := min(width-topBits, domainBits)
-	ct := cacheTuples(opt, width)
+	ct := CacheTuples(opt, width)
 	timed(st, "msb", phLocal, func() {
 		w := opt.Workspace
 		r := ws.Scratch[msbWorker[K]](w, ws.SlotMsbWork)
@@ -222,9 +222,9 @@ func msbBlockTuples[K kv.Key]() int {
 	return 1024
 }
 
-// cacheTuples returns the per-worker cache-resident segment size in
+// CacheTuples returns the per-worker cache-resident segment size in
 // tuples (derived from a 256 KiB private L2 unless overridden).
-func cacheTuples(opt Options, width int) int {
+func CacheTuples(opt Options, width int) int {
 	if opt.CacheTuples > 0 {
 		return opt.CacheTuples
 	}

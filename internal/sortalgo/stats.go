@@ -6,7 +6,6 @@ import (
 	"repro/internal/hard"
 	"repro/internal/numa"
 	"repro/internal/obs"
-	"repro/internal/tune"
 	"repro/internal/ws"
 )
 
@@ -52,11 +51,6 @@ type Stats struct {
 	// disabled. Concurrent sorts under one obs session fold each other's
 	// events into their deltas; attribute with care.
 	Counters obs.CounterSnapshot
-
-	// Plan records the adaptive planner's decision — algorithm, radix
-	// bits, fanout, worker count, and the modeled costs behind them —
-	// when the run was auto-tuned (SortOptions.AutoTune); nil otherwise.
-	Plan *tune.Plan
 }
 
 // Total returns the summed wall clock.
@@ -231,8 +225,8 @@ type Options struct {
 	// Oblivious disables the NUMA-aware layout: no range split, no shuffle
 	// — passes run over the whole array as if memory were interleaved.
 	Oblivious bool
-	// RadixBits is the per-pass fanout in bits for radix passes
-	// (default 8, the out-of-cache optimum at this scale).
+	// RadixBits is LSB's per-pass fanout in bits (0: derived from n and
+	// the key domain by lsbWidth).
 	RadixBits int
 	// RangeFanout is the per-pass fanout of the comparison sort
 	// (default 360).
@@ -263,9 +257,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Threads < 1 {
 		o.Threads = 1
-	}
-	if o.RadixBits < 1 {
-		o.RadixBits = 8
 	}
 	if o.RangeFanout < 2 {
 		o.RangeFanout = 360

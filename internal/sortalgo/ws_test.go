@@ -58,8 +58,8 @@ func TestLSBFusedZeroAlloc(t *testing.T) {
 }
 
 // TestLSBFusedPathEngaged pins the budget gate: narrow passes (cache-
-// resident joint tables) take the fused driver, the default 8-bit passes
-// fall back to per-pass histogramming (their 1.5 MiB-per-worker joint
+// resident joint tables) take the fused driver, 8-bit passes (the width
+// rule's narrowest) fall back to per-pass histogramming (their 1.5 MiB-per-worker joint
 // tables cost more than the scans they save).
 func TestLSBFusedPathEngaged(t *testing.T) {
 	// 8 passes of 4 bits: 7 joint tables of 256 cells each, L1-resident.
@@ -70,7 +70,7 @@ func TestLSBFusedPathEngaged(t *testing.T) {
 	if part.FusedJointCells(narrow) > fusedCellBudget {
 		t.Fatal("4-bit passes exceed the fused budget; fused path untested")
 	}
-	// Default 8-bit passes must NOT fuse: 3*2^16 cells per worker.
+	// 8-bit passes must NOT fuse: 3*2^16 cells per worker.
 	wide := [][2]uint{{0, 8}, {8, 16}, {16, 24}, {24, 32}}
 	if part.FusedJointCells(wide) <= fusedCellBudget {
 		t.Fatal("8-bit passes unexpectedly within the fused budget")
@@ -180,23 +180,27 @@ func TestWorkspaceStatsCounters(t *testing.T) {
 }
 
 // TestLSBWorkspaceZeroAlloc is the tentpole acceptance check: a warm
-// workspace-backed single-threaded LSB sort makes zero heap allocations.
+// workspace-backed single-threaded LSB sort makes zero heap allocations,
+// both at 8-bit digits (2^14 keys) and where the width rule picks wider
+// tables (2^16 keys: three 11-bit passes).
 func TestLSBWorkspaceZeroAlloc(t *testing.T) {
 	w := ws.New()
 	defer w.Close()
-	n := 1 << 14
-	keys := gen.Uniform[uint32](n, 0, 5)
-	vals := gen.RIDs[uint32](n)
-	tmpK, tmpV := make([]uint32, n), make([]uint32, n)
-	work := make([]uint32, n)
-	opt := Options{Threads: 1, Workspace: w}
-	sortOnce := func() {
-		copy(work, keys)
-		LSB(work, vals, tmpK, tmpV, opt)
-	}
-	sortOnce() // warm the arena
-	if a := testing.AllocsPerRun(10, sortOnce); a != 0 {
-		t.Fatalf("warm workspace LSB allocates %v times per sort", a)
+	for _, n := range []int{1 << 14, 1 << 16} {
+		keys := gen.Uniform[uint32](n, 0, 5)
+		vals := gen.RIDs[uint32](n)
+		tmpK, tmpV := make([]uint32, n), make([]uint32, n)
+		work := make([]uint32, n)
+		opt := Options{Threads: 1, Workspace: w}
+		sortOnce := func() {
+			copy(work, keys)
+			LSB(work, vals, tmpK, tmpV, opt)
+		}
+		sortOnce() // warm the arena
+		if a := testing.AllocsPerRun(10, sortOnce); a != 0 {
+			bits, _ := lsbWidth(n, 32)
+			t.Fatalf("n=%d (%d-bit digits): warm workspace LSB allocates %v times per sort", n, bits, a)
+		}
 	}
 }
 

@@ -1,10 +1,10 @@
-// Spill planning: the external sort's counterpart of Choose. Given the
-// input size and the auxiliary-memory budget, PlanSpill decides whether
-// the sort must leave RAM at all and, if so, shapes the external pipeline
-// — segment granularity, run-formation fanout, merge fan-in, and buffer
-// sizes — so the whole pipeline's peak memory stays inside the budget the
-// in-memory planner would have refused.
-
+// Package tune sizes the sorts' memory: the default auxiliary budget
+// (membudget.go) and the external sort's spill plan. Given the input size
+// and the auxiliary-memory budget, PlanSpill decides whether the sort must
+// leave RAM at all and, if so, shapes the external pipeline — segment
+// granularity, run-formation fanout, merge fan-in, and buffer sizes — so
+// the whole pipeline's peak memory stays inside the budget the in-memory
+// paths would overrun.
 package tune
 
 import (
@@ -58,15 +58,14 @@ type SpillPlan struct {
 
 // PlanSpill shapes the external pipeline for n tuples of keyBits-bit keys
 // under an auxiliary budget of maxAux bytes (<=0: DefaultAuxBudget). The
-// profile contributes the merge width via its calibrated CPU count; a nil
-// profile falls back to the live GOMAXPROCS. The returned plan keeps
+// merge width follows the live GOMAXPROCS. The returned plan keeps
 // MemBytes within the budget even when the budget is far below the input
 // — only degenerate budgets (below ~512 KiB, where the buffer clamps
 // dominate) are clamped up. MemBytes sums the formation slab, the
 // delivery buffers, and the merge iterator blocks: the sorter checks all
 // three out of the arena for the life of the run, so the phases'
 // footprints coexist rather than peaking one at a time.
-func PlanSpill(n, keyBits int, maxAux int64, p *MachineProfile) SpillPlan {
+func PlanSpill(n, keyBits int, maxAux int64) SpillPlan {
 	if maxAux <= 0 {
 		maxAux = DefaultAuxBudget()
 	}
@@ -112,12 +111,8 @@ func PlanSpill(n, keyBits int, maxAux int64, p *MachineProfile) SpillPlan {
 	pl.ExtentTuples = int(clampInt64(seg/2, int64(minLinesPerExtent)*line, 1<<20))
 
 	// Merge: W iterators × 2 prefetch blocks × block pairs ≤ half the
-	// budget. The calibrated CPU count bounds useful prefetch concurrency.
-	ncpu := runtime.GOMAXPROCS(0)
-	if p != nil && p.NumCPU > 0 {
-		ncpu = p.NumCPU
-	}
-	w := clampInt(ncpu, 4, maxMergeWidth)
+	// budget. The CPU count bounds useful prefetch concurrency.
+	w := clampInt(runtime.GOMAXPROCS(0), 4, maxMergeWidth)
 	block := clampInt64(seg/4, 1<<10, 1<<16)
 	for block > 1<<10 && int64(w)*4*block*w8 > maxAux/2 {
 		block /= 2

@@ -5,7 +5,6 @@ import (
 	"math/bits"
 
 	"repro/internal/kv"
-	"repro/internal/tune"
 )
 
 // Algorithm identifies one of the three sorting algorithms.
@@ -97,41 +96,21 @@ func Recommend(w Workload) Algorithm {
 // Sort runs the recommended algorithm for the workload it derives from the
 // input (domain detected by scanning) and the given requirements. An empty
 // input is trivially sorted: Sort returns LSB without consulting
-// Recommend. With opt.AutoTune set, the static decision table is replaced
-// by the machine-calibrated planner: the key column is sampled (no full
-// scan) and the algorithm with the lowest modeled cost on this machine
-// wins, under the same needStable/spaceTight constraints. The sort itself
-// runs through SortCtx; like the Sort* wrappers, Sort panics with the
-// typed error SortCtx returns.
+// Recommend. The sort itself runs through SortCtx; like the Sort*
+// wrappers, Sort panics with the typed error SortCtx returns.
 func Sort[K Key](keys, vals []K, needStable, spaceTight bool, opt *SortOptions) Algorithm {
 	mustValid(validatePairs("Sort", "keys", "vals", keys, vals))
 	mustValid(validateOptions("Sort", opt))
 	if len(keys) == 0 {
 		return LSB
 	}
-	var plan *SortPlan
-	if opt != nil && opt.AutoTune {
-		// Below the planning threshold plan is nil: the static path runs
-		// on the AutoTune-cleared options, without a re-plan.
-		opt, plan = autotune(keys, opt, "", needStable, spaceTight)
-	}
-	var a Algorithm
-	switch {
-	case plan == nil:
-		a = Recommend(Workload{
-			N:          len(keys),
-			DomainBits: kv.DomainBits(keys),
-			KeyBits:    kv.Width[K](),
-			SpaceTight: spaceTight,
-			NeedStable: needStable,
-		})
-	case plan.Algo == tune.AlgoMSB:
-		a = MSB
-	case plan.Algo == tune.AlgoCMP:
-		a = CMP
-	default:
-		a = LSB
-	}
+	a := Recommend(Workload{
+		N:          len(keys),
+		DomainBits: kv.DomainBits(keys),
+		KeyBits:    kv.Width[K](),
+		SpaceTight: spaceTight,
+		NeedStable: needStable,
+	})
 	mustSort(SortCtx(context.Background(), a, keys, vals, opt))
 	return a
 }

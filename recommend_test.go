@@ -1,9 +1,11 @@
 package partsort
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/kv"
 )
 
 func TestRecommendMatchesPaperConclusion(t *testing.T) {
@@ -62,5 +64,103 @@ func TestAutoSort(t *testing.T) {
 	}
 	if !IsStableSorted(keys, vals) {
 		t.Fatal("not stable")
+	}
+}
+
+// TestRecommendValidatesWorkload pins the validation the tuner PR added:
+// Recommend used to silently accept empty problems and key widths like
+// 17 bits and hand back a recommendation computed from garbage.
+func TestRecommendValidatesWorkload(t *testing.T) {
+	bad := []Workload{
+		{N: 0, KeyBits: 32},
+		{N: -5, KeyBits: 64},
+		{N: 100, KeyBits: 17},
+		{N: 100, KeyBits: 64, DomainBits: 65},
+		{N: 100, KeyBits: 64, DomainBits: -1},
+	}
+	for _, w := range bad {
+		func() {
+			defer func() {
+				r := recover()
+				if _, ok := r.(*ArgError); !ok {
+					t.Fatalf("Recommend(%+v) did not panic *ArgError (got %v)", w, r)
+				}
+			}()
+			Recommend(w)
+		}()
+	}
+	// Boundary cases stay accepted: KeyBits 0 means unknown, DomainBits
+	// 0 and 64 are the documented ends of the range.
+	for _, w := range []Workload{
+		{N: 1},
+		{N: 1 << 20, KeyBits: 32, DomainBits: 0},
+		{N: 1 << 20, KeyBits: 64, DomainBits: 64},
+	} {
+		Recommend(w)
+	}
+}
+
+// TestSortEmptyInput: empty problems are trivially sorted; Sort must not
+// route them into Recommend's N >= 1 validation.
+func TestSortEmptyInput(t *testing.T) {
+	if got := Sort([]uint32{}, []uint32{}, false, false, nil); got != LSB {
+		t.Fatalf("empty Sort returned %v", got)
+	}
+	if got := Sort([]uint64{}, []uint64{}, true, true, &SortOptions{}); got != LSB {
+		t.Fatalf("empty stable, space-tight Sort returned %v", got)
+	}
+}
+
+// TestDefaultWidthMatchesExplicit: on distinct keys (a permutation, so the
+// sorted order of both columns is unique) every algorithm must produce
+// bit-for-bit the same output at the default radix width as with an
+// explicit 8-bit width. At 2^15 64-bit keys LSB's width rule picks 10-bit
+// digits; MSB and CMP ignore RadixBits.
+func TestDefaultWidthMatchesExplicit(t *testing.T) {
+	n := 1 << 15
+	baseKeys := gen.Permutation[uint64](n, 9)
+	baseVals := RIDs[uint64](n)
+	algos := []struct {
+		name string
+		run  func(keys, vals []uint64, opt *SortOptions)
+	}{
+		{"LSB", SortLSB[uint64]},
+		{"MSB", SortMSB[uint64]},
+		{"CMP", SortCMP[uint64]},
+	}
+	for _, a := range algos {
+		t.Run(a.name, func(t *testing.T) {
+			ek, ev := slices.Clone(baseKeys), slices.Clone(baseVals)
+			a.run(ek, ev, &SortOptions{RadixBits: 8})
+			dk, dv := slices.Clone(baseKeys), slices.Clone(baseVals)
+			a.run(dk, dv, &SortOptions{})
+			if !slices.Equal(ek, dk) || !slices.Equal(ev, dv) {
+				t.Fatal("default-width output differs from the explicit 8-bit output")
+			}
+		})
+	}
+}
+
+// TestDefaultWidthStableAndSkewed covers skewed, duplicate-heavy input at
+// the default width: LSB keeps its stability contract, and Sort returns
+// a sorted permutation with the algorithm Recommend picks.
+func TestDefaultWidthStableAndSkewed(t *testing.T) {
+	n := 1 << 15
+	keys := gen.ZipfKeys[uint64](n, 1<<30, 1.2, 4)
+	vals := RIDs[uint64](n)
+	origK, origV := slices.Clone(keys), slices.Clone(vals)
+
+	sk, sv := slices.Clone(keys), slices.Clone(vals)
+	SortLSB(sk, sv, &SortOptions{})
+	if !IsStableSorted(sk, sv) {
+		t.Fatal("default-width LSB lost stability")
+	}
+
+	want := Recommend(Workload{N: n, DomainBits: kv.DomainBits(keys), KeyBits: 64})
+	if got := Sort(keys, vals, false, false, nil); got != want {
+		t.Fatalf("Sort ran %v, Recommend picks %v", got, want)
+	}
+	if !IsSorted(keys) || !SameMultiset(keys, vals, origK, origV) {
+		t.Fatal("Sort did not produce a sorted permutation")
 	}
 }

@@ -27,7 +27,10 @@ type SortOptions struct {
 	Regions int
 	// Oblivious disables the NUMA-aware layout even when Regions > 1.
 	Oblivious bool
-	// RadixBits is the per-pass radix fanout in bits (default 8).
+	// RadixBits is LSB's per-pass radix fanout in bits. 0 derives it from
+	// the input: the fewest passes over the key domain whose digits stay
+	// within log2(n)-5 bits, clamped to [8, 12] (README "Radix width").
+	// MSB, CMP and SortExternal ignore it.
 	RadixBits int
 	// RangeFanout is the comparison sort's per-pass fanout (default 360).
 	RangeFanout int
@@ -49,24 +52,8 @@ type SortOptions struct {
 	// *ResourceError. CMP switches to the in-place block-permutation
 	// layout — no linear tmp arrays, no codes column — when the legacy
 	// footprint would exceed the cap (parallel runs use it regardless,
-	// unless the NUMA-aware layout is engaged), and the AutoTune planner
-	// budgets its algorithm choice against the same cap. Negative is
-	// invalid.
+	// unless the NUMA-aware layout is engaged). Negative is invalid.
 	MaxAuxBytes int64
-	// AutoTune engages the machine-calibrated adaptive planner: the sort
-	// samples the key column, prices candidate configurations with the
-	// machine profile (Profile, or the process-wide one — see Calibrate),
-	// and fills every knob left at its zero value from the winning plan.
-	// Knobs set explicitly always win over the planner. The plan is
-	// recorded in Stats.Plan and, under an observability session, emitted
-	// as an "autotune-plan" meta event. Inputs smaller than ~4K tuples
-	// skip planning entirely.
-	AutoTune bool
-	// Profile is the calibrated machine profile AutoTune plans against;
-	// nil selects the process-wide profile (installed by Calibrate,
-	// SetMachineProfile, or LoadMachineProfile, or quick-calibrated
-	// lazily on first use). Ignored unless AutoTune is set.
-	Profile *MachineProfile
 	// Retry, when non-nil, runs SortCtx under the resilient supervisor:
 	// contained worker failures retry in place, then degrade along the
 	// fallback chain (see RetryPolicy; the zero value is a working
@@ -129,10 +116,11 @@ const sortOp = "SortCtx"
 //   - CMP, the range-partitioning comparison sort (Section 4.3): sampled
 //     splitters give perfect load balance and skew immunity regardless of
 //     the key distribution; heavily repeated keys get single-key
-//     partitions that skip sorting entirely. Parallel runs (and any run
-//     whose linear scratch would exceed MaxAuxBytes) use the in-place
-//     block-permutation layout; otherwise one linear auxiliary array pair
-//     is taken. Not stable.
+//     partitions that skip sorting entirely. A cache-resident input is
+//     comb-sorted where it lies, with no linear scratch. Parallel runs (and
+//     any run whose linear scratch would exceed MaxAuxBytes) use the
+//     in-place block-permutation layout; otherwise one linear auxiliary
+//     array pair is taken. Not stable.
 //
 // Argument problems return *ArgError, an auxiliary-memory budget overrun
 // (SortOptions.MaxAuxBytes) *ResourceError, and a contained worker panic
@@ -162,27 +150,19 @@ func SortCtx[K Key](ctx context.Context, algo Algorithm, keys, vals []K, opt *So
 }
 
 // sortOnce is one hardened attempt of a validated sort: tryRun arms the
-// cancellation control and budget, autotune fills the knobs, and the
-// sortalgo driver runs with the control installed.
+// cancellation control and budget, and the sortalgo driver runs with the
+// control installed.
 func sortOnce[K Key](ctx context.Context, algo Algorithm, keys, vals []K, opt *SortOptions) error {
 	return tryRun(sortOp, ctx, optWorkspace(opt), optMaxAux(opt), func(ctl *hard.Ctl) {
-		force, stable, tight := tune.AlgoCMP, false, false
-		switch algo {
-		case LSB:
-			force, stable = tune.AlgoLSB, true
-		case MSB:
-			force, tight = tune.AlgoMSB, true
-		}
-		eff, plan := autotune(keys, opt, force, stable, tight)
-		io := eff.toInternal()
+		io := opt.toInternal()
 		io.Ctl = ctl
 		switch {
 		case algo == MSB:
 			sortalgo.MSB(keys, vals, io)
-		case algo == CMP && cmpInPlace[K](eff, plan, len(keys)):
+		case algo == CMP && cmpInPlace[K](io, optMaxAux(opt), len(keys)):
 			sortalgo.CMP[K](keys, vals, nil, nil, io)
 		default:
-			tmpK, tmpV, w := scratchPair[K](eff, len(keys))
+			tmpK, tmpV, w := scratchPair[K](opt, len(keys))
 			defer func() {
 				ws.PutKeys(w, tmpK)
 				ws.PutKeys(w, tmpV)
@@ -245,34 +225,29 @@ func SortCMP[K Key](keys, vals []K, opt *SortOptions) {
 	mustSort(SortCtx(context.Background(), CMP, keys, vals, opt))
 }
 
-// cmpInPlace decides CMP's layout: the in-place block-permutation
-// path whenever the NUMA-aware first pass (which must route through tmp)
-// is not engaged AND any of — the planner asked for it, the run is
-// parallel (the permutation kernel beats scatter+copy-back there and
-// halves peak memory), or the legacy footprint (tmp pair + codes column)
-// would exceed the auxiliary-memory budget.
-func cmpInPlace[K Key](opt *SortOptions, plan *SortPlan, n int) bool {
-	if opt != nil && opt.Regions > 1 && !opt.Oblivious {
-		return false
-	}
-	if plan != nil && plan.InPlace {
+// cmpInPlace decides CMP's layout, leasing no tmp pair CMP would not
+// read: a cache-resident input is comb-sorted where it lies, so it never
+// takes one. Above that, the in-place block-permutation path runs
+// whenever the NUMA-aware first pass (which must route through tmp) is
+// not engaged AND either the run is parallel (the permutation kernel
+// beats scatter+copy-back there and halves peak memory) or the legacy
+// footprint (tmp pair + codes column) would exceed the auxiliary-memory
+// budget.
+func cmpInPlace[K Key](io sortalgo.Options, budget int64, n int) bool {
+	width := kv.Width[K]()
+	if n <= sortalgo.CacheTuples(io, width) {
 		return true
 	}
-	var budget int64
-	threads := 1
-	if opt != nil {
-		threads = opt.Threads
-		budget = opt.MaxAuxBytes
+	if io.Topo != nil && !io.Oblivious {
+		return false
 	}
-	if threads > 1 {
+	if io.Threads > 1 {
 		return true
 	}
 	if budget <= 0 {
 		budget = tune.DefaultAuxBudget()
 	}
-	width := int64(kv.Width[K]())
-	legacy := int64(n) * (2*width/8 + 4)
-	return legacy > budget
+	return int64(n)*(2*int64(width)/8+4) > budget
 }
 
 // IsSorted reports whether keys are in non-decreasing order.

@@ -58,11 +58,6 @@ func validateOptions(fn string, opt *SortOptions) *ArgError {
 		return &ArgError{Func: fn, Field: "MaxAuxBytes",
 			Reason: fmt.Sprintf("%d; must be non-negative (0 selects the default budget)", opt.MaxAuxBytes)}
 	}
-	if opt.Profile != nil {
-		if err := opt.Profile.Validate(); err != nil {
-			return &ArgError{Func: fn, Field: "Profile", Reason: err.Error()}
-		}
-	}
 	if opt.SpillSegmentTuples < 0 {
 		return &ArgError{Func: fn, Field: "SpillSegmentTuples",
 			Reason: fmt.Sprintf("%d; must be non-negative (0 selects the planned size)", opt.SpillSegmentTuples)}
